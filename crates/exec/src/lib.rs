@@ -20,7 +20,9 @@
 //!
 //! The crate is layered exactly like its proofs:
 //!
-//! * [`state`] — the state machine and one shared transition function;
+//! * [`state`] — the state machine and one shared transition function,
+//!   over an authenticated crit-bit map (`trie`) whose root rehashes only
+//!   the paths a block wrote;
 //! * [`apply`] — conflict-partitioned (factorized) block application,
 //!   identical results at every width;
 //! * [`serial`] — the naive reference executor the differential battery
@@ -35,6 +37,7 @@ pub mod apply;
 pub mod serial;
 pub mod shared;
 pub mod state;
+mod trie;
 
 pub use apply::execute_block;
 pub use serial::SerialExecutor;

@@ -2,10 +2,11 @@
 //!
 //! [`SerialExecutor`] is the specification the pipelined engine is measured
 //! against: it applies every transaction of every block strictly in order on
-//! one thread and computes roots with the sequential merkle path. No
-//! partitioning, no pool, no pipeline — deliberately boring. The
-//! differential battery (`tests/tests/exec_matrix.rs`) demands bit-identical
-//! roots and receipts between this and [`crate::ExecShared`] at every width.
+//! one thread and recomputes every root from the state's entries alone. No
+//! partitioning, no pool, no pipeline, no digest cache — deliberately
+//! boring. The differential battery (`tests/tests/exec_matrix.rs`) demands
+//! bit-identical roots and receipts between this and [`crate::ExecShared`]
+//! at every width.
 
 use crate::apply::execute_block;
 use crate::state::StateMachine;
@@ -39,7 +40,8 @@ impl SerialExecutor {
         execute_block(&mut self.state, txs, 1)
     }
 
-    /// The canonical state root, computed fully sequentially.
+    /// The canonical state root, recomputed from scratch (no cached digest
+    /// is read or written).
     pub fn root(&self) -> Hash {
         self.state.root_serial()
     }

@@ -55,10 +55,8 @@ pub struct ExecConfig {
     /// Bound on the stage queue (`0` = unbounded). With a stage attached,
     /// an [`ExecShared::enqueue`] against a full queue **blocks** until the
     /// stage frees a slot — a lagging executor back-pressures block
-    /// assembly instead of growing the queue without limit. The
-    /// [`ExecShared::lagging`] high-watermark (half the bound) lets a
-    /// driver throttle proactively before enqueue blocks outright. Inline
-    /// mode (no stage) never queues, so the bound is moot there.
+    /// assembly instead of growing the queue without limit. Inline mode
+    /// (no stage) never queues, so the bound is moot there.
     pub max_queue: usize,
 }
 
@@ -197,6 +195,8 @@ struct ExecCore {
     pending_claims: BTreeMap<u64, Vec<(u64, Hash)>>,
     stats: ExecStats,
     mismatches: Vec<RootMismatch>,
+    /// Arguments `StateMachine::root_with_pool`'s pinned signature still
+    /// takes; the root no longer uses them.
     tx_scratch: Vec<Transaction>,
     hash_scratch: Vec<Hash>,
 }
@@ -250,8 +250,14 @@ impl ExecCore {
             self.state
                 .root_with_pool(&self.pool, &mut self.tx_scratch, &mut self.hash_scratch);
         self.roots.insert(round, root);
-        if round >= self.retention {
-            self.roots = self.roots.split_off(&(round - self.retention + 1));
+        // One root in, at most one out: the window holds the newest
+        // `retention` rounds.
+        while self
+            .roots
+            .first_key_value()
+            .is_some_and(|(&oldest, _)| round - oldest >= self.retention)
+        {
+            self.roots.pop_first();
         }
         self.stats.last_round = Some(round);
         self.stats.last_root = root;
@@ -421,16 +427,6 @@ impl ExecShared {
     /// state — inline enqueues drain before returning).
     pub fn queue_len(&self) -> usize {
         self.lock().queue.len()
-    }
-
-    /// The high-watermark signal: true when the stage queue is more than
-    /// half its [`ExecConfig::max_queue`] bound — the executor is lagging
-    /// and block assembly should slow down before
-    /// [`ExecShared::enqueue`] starts blocking outright. Always false when
-    /// unbounded.
-    pub fn lagging(&self) -> bool {
-        let core = self.lock();
-        core.max_queue > 0 && core.queue.len() * 2 > core.max_queue
     }
 
     /// The state root after executing delivered rounds `0..=?` — `None`
@@ -682,9 +678,7 @@ mod tests {
         // queue only drains when the test says so.
         exec.attach_stage();
         exec.enqueue(0, &block(0, vec![]));
-        assert!(!exec.lagging(), "one of two queued is below the watermark");
         exec.enqueue(1, &block(1, vec![]));
-        assert!(exec.lagging(), "full queue must trip the high watermark");
         assert_eq!(exec.queue_len(), 2);
 
         // A third enqueue must block on the bound...
@@ -703,7 +697,6 @@ mod tests {
         exec.finish();
         blocked.join().expect("blocked producer");
         assert_eq!(exec.queue_len(), 1);
-        assert!(!exec.lagging());
         exec.finish();
         assert_eq!(exec.stats().executed_blocks, 3);
         assert_eq!(exec.stats().last_round, Some(2));
@@ -757,6 +750,41 @@ mod tests {
         // Replay reaches the identical root.
         exec.enqueue(0, &block(0, vec![transfer(0, 0, 1, 1, 0)]));
         assert_eq!(exec.prefix_root(Some(0)), Some(exec.latest_root()));
+    }
+
+    #[test]
+    fn exactly_the_last_retention_roots_stay_answerable() {
+        let cfg = ExecConfig {
+            root_retention: 8,
+            ..ExecConfig::with_genesis(2, 1000)
+        };
+        let exec = ExecShared::new(&cfg, pool());
+        let mut roots = Vec::new();
+        for round in 0..30u64 {
+            exec.enqueue(round, &block(round, vec![transfer(round, 0, 1, 1, round)]));
+            roots.push(exec.latest_root());
+        }
+        for round in 22..30u64 {
+            let root = roots[round as usize];
+            assert_eq!(exec.prefix_root(Some(round)), Some(root), "round {round}");
+            assert_eq!(
+                exec.expect_prefix(Some(round), round + 4, root),
+                ClaimCheck::Match
+            );
+        }
+        assert_eq!(exec.stats().unverifiable_claims, 0);
+        for round in 0..22u64 {
+            assert_eq!(exec.prefix_root(Some(round)), None, "round {round}");
+            assert_eq!(
+                exec.expect_prefix(Some(round), round + 4, roots[round as usize]),
+                ClaimCheck::Deferred
+            );
+        }
+        let stats = exec.stats();
+        assert_eq!(stats.unverifiable_claims, 22);
+        assert_eq!((stats.root_checks, stats.root_mismatches), (8, 0));
+        // The genesis root is outside the window and always answerable.
+        assert_eq!(exec.prefix_root(None), Some(exec.base_root()));
     }
 
     #[test]

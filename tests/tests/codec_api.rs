@@ -827,3 +827,47 @@ fn canonical_bytes_with_exec_root_are_pinned() {
     assert_eq!(bare.encode(), bare.canonical_bytes().as_ref());
     assert_eq!(with_root.encode(), with_root.canonical_bytes().as_ref());
 }
+
+/// §12.3: the state-root definition itself, pinned as four roots. The
+/// definition is not a byte layout (`exec_root` stays an `Option<Hash>`),
+/// so nothing else in this file would notice it drift — but replicas that
+/// disagree on it fork their `exec_root`s.
+#[test]
+fn state_roots_of_wire_format_section_12_3_are_pinned() {
+    use fireledger_exec::StateMachine;
+    use fireledger_types::TxOp;
+
+    let root = |state: &StateMachine| {
+        // The incremental and the from-scratch path are one definition.
+        let pool = fireledger_crypto::CryptoPool::inline(
+            fireledger_crypto::SimKeyStore::generate(4, 0).shared(),
+        );
+        let root = state.root_with_pool(&pool, &mut Vec::new(), &mut Vec::new());
+        assert_eq!(root, state.root_serial());
+        root.to_string()
+    };
+
+    let mut state = StateMachine::new();
+    assert_eq!(root(&state), "00".repeat(32), "empty state");
+
+    state = StateMachine::with_genesis(4, 100);
+    let genesis = root(&state);
+    assert_eq!(
+        genesis, "898929a670e396b20cec6205be5dc15c11f77efd6bd938c4e665981c8e447248",
+        "with_genesis(4, 100)"
+    );
+
+    // The same numeric key as account 4 would have, in the KV namespace.
+    state.apply_op(&TxOp::KvPut {
+        key: 4,
+        value: Bytes::from(vec![0x09]),
+    });
+    assert_eq!(
+        root(&state),
+        "5d6291cb9b015a24b6c0fd0284f934cde117e1682ac637e370a70b9ac5bdc9bf",
+        "genesis + KvPut(key 4, value 09)"
+    );
+
+    state.apply_op(&TxOp::KvDelete { key: 4 });
+    assert_eq!(root(&state), genesis, "a deleted entry leaves no trace");
+}

@@ -261,6 +261,135 @@ fn stage_thread_execution_matches_inline_execution() {
 }
 
 // ---------------------------------------------------------------------------
+// The incremental state root: history independence and clone independence.
+// ---------------------------------------------------------------------------
+
+/// Sparse keys that stress the root's radix tree: the extremes, and pairs
+/// differing only in the top or the bottom bit.
+fn sparse_keys(rng: &mut DetRng) -> Vec<u64> {
+    let mut keys = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
+    for _ in 0..20 {
+        let base = rng.next_u64();
+        keys.extend([base, base ^ 1, base ^ (1 << 63)]);
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+#[test]
+fn state_root_is_independent_of_block_order_and_delete_detours() {
+    // Blocks whose ops commute (each key is written by exactly one op), so
+    // every block order must end in the same state — and one root.
+    let mut rng = DetRng::seed_from_u64(0x0DE7);
+    let keys = sparse_keys(&mut rng);
+    let mut seq = 0u64;
+    let mut next_seq = || {
+        seq += 1;
+        seq
+    };
+    let blocks: Vec<Vec<Transaction>> = keys
+        .chunks(20)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .flat_map(|&key| {
+                    [
+                        TxOp::CreateAccount {
+                            account: key,
+                            balance: key % 1000,
+                        },
+                        TxOp::KvPut {
+                            key,
+                            value: Bytes::from(key.to_be_bytes().to_vec()),
+                        },
+                    ]
+                })
+                .map(|op| op_tx(1, next_seq(), &op))
+                .collect()
+        })
+        .collect();
+    // A detour block: entries that come and go again within one block.
+    let detour: Vec<Transaction> = (0..24u64)
+        .flat_map(|i| {
+            let key = rng.next_u64() | 1 << 40;
+            [
+                TxOp::KvPut {
+                    key,
+                    value: Bytes::from(vec![i as u8; 3]),
+                },
+                TxOp::KvDelete { key },
+            ]
+        })
+        .map(|op| op_tx(2, next_seq(), &op))
+        .collect();
+
+    let mut serial = SerialExecutor::new();
+    for txs in &blocks {
+        serial.execute_block(txs);
+    }
+    let expected = serial.root();
+    assert_ne!(expected, Hash([0u8; 32]));
+
+    for width in [1usize, 2, 4] {
+        let cfg = ExecConfig {
+            apply_width: width,
+            ..ExecConfig::default()
+        };
+        let forward = ExecShared::new(&cfg, pool(width));
+        let backward = ExecShared::new(&cfg, pool(width));
+        let mut round = 0u64;
+        for txs in &blocks {
+            forward.enqueue(round, &block(round, txs.clone()));
+            round += 1;
+        }
+        round = 0;
+        for txs in blocks.iter().rev() {
+            backward.enqueue(round, &block(round, txs.clone()));
+            round += 1;
+            backward.enqueue(round, &block(round, detour.clone()));
+            round += 1;
+        }
+        assert_eq!(forward.latest_root(), expected, "width {width}");
+        assert_eq!(backward.latest_root(), expected, "width {width}");
+    }
+}
+
+#[test]
+fn a_cloned_state_diverges_independently_of_its_source() {
+    let ledger = random_ledger(0xC10E, 40, 48);
+    let crypto = pool(1);
+    let root = |state: &StateMachine| {
+        let root = state.root_with_pool(&crypto, &mut Vec::new(), &mut Vec::new());
+        assert_eq!(root, state.root_serial(), "incremental vs from-scratch");
+        root
+    };
+    let mut source = StateMachine::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE);
+    let (shared, tail) = ledger.split_at(20);
+    for txs in shared {
+        execute_block(&mut source, txs, 2);
+        root(&source);
+    }
+    // The clone carries the source's digest cache; from here on each side
+    // must answer for its own writes only.
+    let mut clone = source.clone();
+    let fork_root = root(&source);
+    assert_eq!(root(&clone), fork_root);
+    for txs in tail {
+        execute_block(&mut clone, txs, 2);
+        root(&clone);
+        assert_eq!(root(&source), fork_root, "the source moved with its clone");
+    }
+    assert_ne!(root(&clone), fork_root);
+    let clone_root = root(&clone);
+    for txs in tail.iter().rev() {
+        execute_block(&mut source, txs, 2);
+        root(&source);
+        assert_eq!(root(&clone), clone_root, "the clone moved with its source");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Property ×24: replay determinism, through memory and through the store.
 // ---------------------------------------------------------------------------
 
@@ -458,7 +587,13 @@ where
 {
     let builder = ClusterBuilder::<P>::new(matrix_params(workers))
         .with_seed(7)
-        .with_execution(ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE));
+        // The trace below reads the root of *every* round after the run,
+        // so the retention window has to outlast whatever a runtime gets
+        // through in the scenario (threads: several thousand rounds).
+        .with_execution(ExecConfig {
+            root_retention: 1 << 20,
+            ..ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE)
+        });
     let plan_name = plan.as_ref().map(|p| p.name.clone()).unwrap_or_default();
     let scenario = matrix_scenario("exec-identity", plan);
     let report = runtime
