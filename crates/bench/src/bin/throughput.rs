@@ -526,15 +526,12 @@ fn main() {
     let execution_json = format!("[{}]", exec_rows.join(","));
 
     // The reactor n-sweep (the `scale` key, PR 10): FLO on the TCP runtime
-    // at growing cluster sizes, on both socket engines. The legacy
-    // thread-per-peer engine spends n + 2·n·(n−1) threads (a reader and a
-    // writer per directed link); the reactor spends n node threads plus a
-    // fixed pool. Each row records the cluster's *measured* thread count
+    // at growing cluster sizes. The reactor spends n node threads plus a
+    // fixed pool; each row records the cluster's *measured* thread count
     // (the report's `threads` key, snapshotted before shutdown) next to its
-    // throughput, so the trajectory carries the before/after comparison.
-    // The legacy engine is capped at n = 32 (2 016 threads) — the point of
-    // the sweep is that the reactor reaches n = 64 where thread-per-socket
-    // is already absurd, not to spawn 8 128 threads to prove it.
+    // throughput. The thread-per-peer engine the reactor replaced
+    // (n + 2·n·(n−1) threads) is gone; its rows are pr10's in
+    // BENCH_throughput.json.
     let scale_ns: &[usize] = if smoke {
         &[4, 8, 16]
     } else if full_mode() {
@@ -542,24 +539,10 @@ fn main() {
     } else {
         &[4, 8, 16, 32]
     };
-    const LEGACY_SCALE_CAP: usize = 32;
     let scale_dur = if smoke {
         Duration::from_millis(400)
     } else {
         Duration::from_millis(800)
-    };
-    let scale_row = |engine: &str, n: usize, report: &RunReport| {
-        println!(
-            "scale     tcp      Flo | n={n:<3} engine={engine:<15} threads={:>5} tps={:>9.0} bps={:>7.1}",
-            report.threads, report.tps, report.bps,
-        );
-        format!(
-            concat!(
-                "{{\"system\":\"Flo\",\"runtime\":\"tcp\",\"engine\":\"{}\",\"n\":{},",
-                "\"threads\":{},\"tps\":{:.2},\"bps\":{:.2},\"duration_secs\":{:.4}}}"
-            ),
-            engine, n, report.threads, report.tps, report.bps, report.duration_secs,
-        )
     };
     let mut scale_rows = Vec::new();
     for &n in scale_ns {
@@ -571,37 +554,36 @@ fn main() {
         } else {
             scale_dur
         };
-        let cfg = ExperimentConfig::flo(n, 1, 50, 256)
+        let report = ExperimentConfig::flo(n, 1, 50, 256)
             .with_base_timeout(Duration::from_millis(500))
-            .duration(dur);
-        if n <= LEGACY_SCALE_CAP {
-            let before = cfg.clone().with_thread_per_peer().run_on(&Tcp, None);
-            let expected = n + 2 * n * (n - 1);
-            if before.report.threads != expected {
-                eprintln!(
-                    "error: thread-per-peer n={n} ran {} threads, expected {expected}",
-                    before.report.threads
-                );
-                std::process::exit(1);
-            }
-            scale_rows.push(scale_row("thread-per-peer", n, &before.report));
-        }
-        let after = cfg.clone().run_on(&Tcp, None);
+            .duration(dur)
+            .run_on(&Tcp, None)
+            .report;
         // The acceptance gate of the sweep: the reactor's thread count is
         // O(n) — the n node loops plus the fixed pool, nothing per-socket.
-        if after.report.threads != n + DEFAULT_REACTOR_THREADS {
+        if report.threads != n + DEFAULT_REACTOR_THREADS {
             eprintln!(
                 "error: reactor n={n} ran {} threads, expected {}",
-                after.report.threads,
+                report.threads,
                 n + DEFAULT_REACTOR_THREADS
             );
             std::process::exit(1);
         }
-        if after.report.tps <= 0.0 {
+        if report.tps <= 0.0 {
             eprintln!("error: reactor n={n} produced no throughput");
             std::process::exit(1);
         }
-        scale_rows.push(scale_row("reactor", n, &after.report));
+        println!(
+            "scale     tcp      Flo | n={n:<3} engine=reactor         threads={:>5} tps={:>9.0} bps={:>7.1}",
+            report.threads, report.tps, report.bps,
+        );
+        scale_rows.push(format!(
+            concat!(
+                "{{\"system\":\"Flo\",\"runtime\":\"tcp\",\"engine\":\"reactor\",\"n\":{},",
+                "\"threads\":{},\"tps\":{:.2},\"bps\":{:.2},\"duration_secs\":{:.4}}}"
+            ),
+            n, report.threads, report.tps, report.bps, report.duration_secs,
+        ));
     }
     let scale_json = format!("[{}]", scale_rows.join(","));
 

@@ -98,11 +98,6 @@ pub struct ExperimentConfig {
     /// (accepted/shed/lost counts, per-lane submit→commit percentiles).
     /// `None` — the default — runs without client ingress.
     pub ingress: Option<IngressLoad>,
-    /// Socket engine for TCP-runtime runs ([`ClusterBuilder::with_tcp_engine`]):
-    /// the default reactor pool, a pinned pool size, or the legacy
-    /// thread-per-peer engine (the before/after axis of the scaling sweep).
-    /// Simulator and threaded runs ignore it.
-    pub tcp_engine: TcpEngine,
 }
 
 impl ExperimentConfig {
@@ -124,22 +119,7 @@ impl ExperimentConfig {
             probe_rate: 0.0,
             store: None,
             ingress: None,
-            tcp_engine: TcpEngine::default(),
         }
-    }
-
-    /// Pins the TCP runtime's reactor-pool size (`0` = the documented
-    /// default, [`DEFAULT_REACTOR_THREADS`]).
-    pub fn with_reactor_threads(mut self, k: usize) -> Self {
-        self.tcp_engine = TcpEngine::Reactor { threads: k };
-        self
-    }
-
-    /// Runs TCP clusters on the legacy thread-per-peer engine — the
-    /// "before" side of the reactor scaling comparison.
-    pub fn with_thread_per_peer(mut self) -> Self {
-        self.tcp_engine = TcpEngine::ThreadPerPeer;
-        self
     }
 
     /// Attaches an open-loop client-RPC ingress fleet to the run (see
@@ -269,8 +249,7 @@ impl ExperimentConfig {
         let mut builder = ClusterBuilder::<P>::new(self.protocol_params())
             .with_seed(self.seed)
             .with_last_k(self.byzantine, NodeRole::Equivocate)
-            .crypto_threads(self.crypto_threads)
-            .with_tcp_engine(self.tcp_engine);
+            .crypto_threads(self.crypto_threads);
         if let Some((dir, policy)) = &self.store {
             builder = builder.with_store(dir.clone(), *policy);
         }

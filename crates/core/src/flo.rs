@@ -98,8 +98,9 @@ impl FloNode {
     /// vote its pre-kill self broadcast.
     ///
     /// Replay is forgiving the same way the store's tail scan is: the first
-    /// record that fails to decode (or names a worker the configuration
-    /// does not have) ends the usable prefix rather than failing recovery.
+    /// record that fails to decode, names a worker the configuration does
+    /// not have, or is not its worker's next round (a gap) ends the usable
+    /// prefix rather than failing recovery.
     ///
     /// The recovered prefix is re-emitted as deliveries on the node's first
     /// [`Protocol::on_start`], so its post-restart delivery stream is the
@@ -126,7 +127,9 @@ impl FloNode {
                 break;
             };
             let w = stored.worker.as_usize();
-            if w >= node.workers.len() {
+            if w >= node.workers.len()
+                || stored.signed_header.round() != node.workers[w].chain().next_round()
+            {
                 break;
             }
             let block = Block::new(stored.signed_header.header.clone(), stored.txs);
@@ -514,6 +517,51 @@ mod tests {
         for w in 0..3 {
             assert_eq!(node.worker(w).pool_len(), 3, "worker {w} unbalanced");
         }
+    }
+
+    #[test]
+    fn recovery_stops_at_a_gap_in_a_workers_rounds() {
+        use fireledger_store::FsyncPolicy;
+        use fireledger_types::{BlockHeader, Bytes, Signature, SignedHeader, GENESIS_HASH};
+        let stored = |round: u64| {
+            let header = BlockHeader::new(
+                Round(round),
+                WorkerId(0),
+                NodeId((round % 4) as u32),
+                GENESIS_HASH,
+                GENESIS_HASH,
+                0,
+                0,
+            );
+            let signed_header = SignedHeader::new(header, Signature(Bytes::copy_from_slice(b"s")));
+            let block = StoredBlock {
+                worker: WorkerId(0),
+                signed_header,
+                txs: vec![],
+            };
+            (REC_BLOCK, block.encode())
+        };
+        // Rounds 0, 1, then 3: round 2 is missing from the log.
+        let recovered = RecoveredState {
+            blocks: [0, 1, 3].into_iter().map(stored).collect(),
+            wal: Vec::new(),
+        };
+        let dir = std::env::temp_dir().join(format!("fireledger-flo-gap-{}", std::process::id()));
+        let (store, _) = NodeStore::open(&dir, FsyncPolicy::OsDefault).unwrap();
+        let params = ProtocolParams::new(4).with_workers(1);
+        let crypto: SharedCrypto = SimKeyStore::generate(4, 1).shared();
+        let node = FloNode::recover_from_disk(
+            NodeId(0),
+            params,
+            crypto,
+            Arc::new(AcceptAll),
+            Arc::new(store),
+            &recovered,
+        );
+        assert_eq!(node.worker(0).chain().len(), 2, "the gap ends the prefix");
+        assert_eq!(node.released_blocks(), 2);
+        drop(node);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,31 +1,34 @@
 //! # fireledger-net
 //!
-//! The real-time runtimes for the sans-IO [`fireledger_types::Protocol`]
-//! state machines, plus the framing layer they share:
+//! The real-time host for the sans-IO [`fireledger_types::Protocol`] state
+//! machines, plus the framing layer its socket transport shares with client
+//! RPC.
 //!
-//! * [`ThreadedCluster`] — one OS thread per node, std `mpsc` channels for
-//!   links (reliable, FIFO — the paper's link model), wall-clock timers.
-//!   Messages are moved in-process, never serialized.
-//! * [`TcpCluster`] — one thread per node *plus* a socket engine
-//!   ([`TcpEngine`]): by default a small pool of nonblocking reactor
-//!   threads multiplexing the whole mesh (O(n) threads total, which is
-//!   what makes n = 32–64 clusters practical on one host), with the
-//!   original per-peer reader/writer-thread engine retained for
-//!   before/after benchmarking. The mesh is a static full mesh of real
-//!   `std::net::TcpStream`s over localhost, and every message is encoded
-//!   through the workspace's binary wire format (`docs/WIRE_FORMAT.md`)
-//!   with length-prefixed framing ([`frame`]).
+//! [`RealtimeCluster`] runs one OS thread per node with wall-clock timers
+//! and has one constructor per transport:
 //!
-//! Both runtimes exist to demonstrate that the protocol implementations are
-//! genuinely sans-IO — the exact same `FloNode` / `Worker` / baseline code
-//! runs under the deterministic simulator, in-process channels, and real
-//! sockets, without a line of protocol code changing. The [`RealtimeCluster`]
-//! trait is the common driving surface the `fireledger-runtime` facade uses
-//! to treat the two interchangeably.
+//! * [`RealtimeCluster::spawn_channels`] — std `mpsc` channels for links
+//!   (reliable, FIFO — the paper's link model); messages are moved
+//!   in-process, never serialized.
+//! * [`RealtimeCluster::spawn_engine`] — a static full mesh of real
+//!   `std::net::TcpStream`s over localhost, multiplexed by a fixed pool of
+//!   [`DEFAULT_REACTOR_THREADS`] nonblocking reactor threads (O(n) threads
+//!   in total, which is what makes n = 32–64 clusters practical on one
+//!   host). Every message is encoded through the workspace's binary wire
+//!   format (`docs/WIRE_FORMAT.md`) with length-prefixed framing
+//!   ([`frame`]).
+//!
+//! Both exist to demonstrate that the protocol implementations are genuinely
+//! sans-IO — the exact same `FloNode` / `Worker` / baseline code runs under
+//! the deterministic simulator, in-process channels, and real sockets,
+//! without a line of protocol code changing. The lifecycle a driver uses
+//! (submit, crash, pause/resume, kill/restart, deliveries, shutdown) is
+//! written once and is the same on both transports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod cluster;
 pub mod frame;
 mod node_loop;
 mod reactor;
@@ -34,14 +37,10 @@ mod shim;
 mod tcp;
 mod threads;
 
+pub use cluster::{RealtimeCluster, TcpCluster};
 pub use node_loop::{PreVerify, Verdict};
 pub use reactor::{TcpEngine, DEFAULT_REACTOR_THREADS};
 pub use rpc::{RpcClient, RpcHandler, RpcServer};
-pub use tcp::TcpCluster;
-pub use threads::ThreadedCluster;
-
-use fireledger_types::{Delivery, NodeId, Transaction};
-use std::time::Duration;
 
 /// Coarse node availability, mirrored out of each node's event loop every
 /// iteration. The ingress layer reads it to answer `Syncing`/`Busy` instead
@@ -66,84 +65,4 @@ impl NodeStatus {
             _ => NodeStatus::Down,
         }
     }
-}
-
-/// The common driving surface of the real-time runtimes: submit client
-/// traffic, schedule crashes and recoveries, observe deliveries, stop the
-/// cluster.
-///
-/// A driver written against this trait (like the `Threads` and `Tcp`
-/// runtimes in `fireledger-runtime`) works unchanged on in-process channels
-/// and on real sockets.
-pub trait RealtimeCluster {
-    /// Submits a client transaction to `node`.
-    fn submit(&self, node: NodeId, tx: Transaction);
-    /// Crashes `node` permanently: its protocol thread stops without
-    /// draining its backlog, and it goes silent towards its peers.
-    fn crash(&self, node: NodeId);
-    /// Pauses `node` — the crash half of a crash-recover fault: the node
-    /// discards events and expires timers silently but keeps its protocol
-    /// state for [`RealtimeCluster::resume`].
-    fn pause(&self, node: NodeId);
-    /// Resumes a paused `node`.
-    fn resume(&self, node: NodeId);
-    /// Kills `node`: the protocol state machine is destroyed outright (its
-    /// durable store, if any, is closed by the drop) and the node's
-    /// delivery log is cleared, while the hosting thread and transport
-    /// stay up. Without a later [`RealtimeCluster::restart`] the node is
-    /// permanently silent, like [`RealtimeCluster::crash`]. The default
-    /// implementation falls back to `crash` for runtimes without kill
-    /// support.
-    fn kill(&self, node: NodeId) {
-        self.crash(node);
-    }
-    /// Restarts a killed `node` by rebuilding its protocol state from its
-    /// durable store — a no-op on clusters spawned without a rebuild hook.
-    /// The default implementation does nothing.
-    fn restart(&self, node: NodeId) {
-        let _ = node;
-    }
-    /// `node`'s current availability as mirrored by its own event loop.
-    /// The default — for runtimes without a mirror — reads `Up`.
-    fn node_status(&self, node: NodeId) -> NodeStatus {
-        let _ = node;
-        NodeStatus::Up
-    }
-    /// Serves one client RPC against `node`'s ingress (WIRE_FORMAT.md §11):
-    /// a channel call on the threaded runtime, a real socket round-trip on
-    /// the TCP runtime. `None` when the cluster has no ingress attached or
-    /// the transport failed — a client treats that like a lost connection
-    /// and retries. The default — for runtimes without client ingress —
-    /// always answers `None`.
-    fn rpc(
-        &self,
-        node: NodeId,
-        msg: &fireledger_types::rpc::RpcMsg,
-    ) -> Option<fireledger_types::rpc::RpcMsg> {
-        let _ = (node, msg);
-        None
-    }
-    /// Blocks delivered so far at `node` (a snapshot).
-    fn deliveries(&self, node: NodeId) -> Vec<Delivery>;
-    /// Wall-clock offsets (from cluster start) of `node`'s deliveries so
-    /// far, parallel to [`RealtimeCluster::deliveries`] — the raw series
-    /// behind the delivery-timeline (stall/recovery) metrics in run
-    /// reports.
-    fn delivery_times(&self, node: NodeId) -> Vec<Duration>;
-    /// The instant the cluster's clock started — the zero point of
-    /// [`RealtimeCluster::delivery_times`] and of real-time fault-plan
-    /// offsets. Drivers measuring latencies against delivery timestamps
-    /// must stamp their own events against this same origin.
-    fn start(&self) -> std::time::Instant;
-    /// OS threads the cluster is running right now — protocol threads plus
-    /// every runtime-owned helper (socket engine, pre-verify stages, fault
-    /// delay line, RPC accept loops). This is the measurement behind the
-    /// reactor's O(n) scaling claim; runtimes that don't account for their
-    /// threads report 0 ("not measured"), which is also the value a
-    /// simulator-produced report carries.
-    fn thread_count(&self) -> usize {
-        0
-    }
-    /// Stops the cluster and returns the final per-node deliveries.
-    fn shutdown(self) -> Vec<Vec<Delivery>>;
 }

@@ -1,11 +1,11 @@
-//! The per-node event loop shared by every real-time runtime.
+//! The per-node event loop shared by both transports.
 //!
-//! Both the mpsc-backed [`crate::ThreadedCluster`] and the TCP-backed
-//! [`crate::TcpCluster`] run the exact same loop on each node's thread: pull
-//! the next [`NodeEvent`] from the node's inbox, hand it to the sans-IO
-//! protocol state machine, and interpret the resulting
-//! [`Action`]s. The only thing that differs between the runtimes
-//! is how outbound messages leave the node — the [`Egress`] implementation.
+//! Every [`crate::RealtimeCluster`] node thread — on in-process channels or
+//! on the socket mesh — runs the exact same loop: pull the next
+//! [`NodeEvent`] from the node's inbox, hand it to the sans-IO protocol
+//! state machine, and interpret the resulting [`Action`]s. The only thing
+//! that differs between the transports is how outbound messages leave the
+//! node — the [`Egress`] implementation.
 
 use fireledger_types::{Action, Delivery, NodeId, Outbox, Protocol, TimerId, Transaction};
 use std::collections::HashMap;
@@ -35,6 +35,10 @@ pub(crate) enum NodeEvent<M> {
     },
     /// A client transaction submitted to this node.
     Transaction(Transaction),
+    /// Re-check the fault flags now instead of at the next poll — what a
+    /// kill sends. Unlike [`NodeEvent::Shutdown`] it never ends the loop, so
+    /// a killed node can still restart.
+    Wake,
     /// Stop the node's thread.
     Shutdown,
 }
@@ -173,9 +177,9 @@ fn run_preverify_stage<M>(
 
 /// Inserts a pre-verify stage thread in front of every node's event loop:
 /// each returned receiver yields the stage's output; the original receivers
-/// become the stages' inputs. The ingress senders (`ClusterCore::
-/// evt_senders`) are untouched, so egress, submits, the fault delay line
-/// and shutdown all flow through the stage transparently.
+/// become the stages' inputs. The ingress senders are untouched, so egress,
+/// submits, the fault delay line and shutdown all flow through the stage
+/// transparently.
 pub(crate) fn spawn_preverify_stages<M>(
     receivers: Vec<Receiver<NodeEvent<M>>>,
     pv: &Arc<dyn PreVerify<M>>,
@@ -209,7 +213,7 @@ pub(crate) struct DeliveryLog {
 }
 
 impl DeliveryLog {
-    fn new(n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         DeliveryLog {
             start: Instant::now(),
             entries: Mutex::new(vec![Vec::new(); n]),
@@ -234,15 +238,40 @@ impl DeliveryLog {
     fn clear(&self, node: NodeId) {
         self.entries.lock().expect("delivery log lock")[node.as_usize()].clear();
     }
+
+    /// Blocks delivered so far at `node` (a snapshot).
+    pub fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
+        self.entries.lock().expect("delivery log lock")[node.as_usize()]
+            .iter()
+            .map(|(d, _)| d.clone())
+            .collect()
+    }
+
+    /// Offsets from [`DeliveryLog::start`] of `node`'s deliveries so far.
+    pub fn times(&self, node: NodeId) -> Vec<Duration> {
+        self.entries.lock().expect("delivery log lock")[node.as_usize()]
+            .iter()
+            .map(|(_, at)| *at)
+            .collect()
+    }
+
+    /// The final per-node deliveries (callers join their node threads
+    /// first, so the `Arc` is normally unique).
+    pub fn into_deliveries(log: Arc<Self>) -> Vec<Vec<Delivery>> {
+        let timed = Arc::try_unwrap(log)
+            .map(|log| log.entries.into_inner().expect("delivery log lock"))
+            .unwrap_or_else(|arc| arc.entries.lock().expect("delivery log lock").clone());
+        timed
+            .into_iter()
+            .map(|ds| ds.into_iter().map(|(d, _)| d).collect())
+            .collect()
+    }
 }
 
-/// The cluster-plumbing state every real-time runtime needs: one event
-/// channel per node, the shared delivery logs, and the crash/pause flags.
-/// The runtime-specific cluster types wrap this and add only their transport
-/// (join handles, sockets).
-pub(crate) struct ClusterCore<M> {
-    pub evt_senders: Vec<Sender<NodeEvent<M>>>,
-    pub log: Arc<DeliveryLog>,
+/// The flag banks every node thread watches, one slot per node, shared
+/// (`Arc`) between the cluster host and all node threads.
+#[derive(Clone)]
+pub(crate) struct NodeFlags {
     pub crashed: Arc<Vec<AtomicBool>>,
     pub paused: Arc<Vec<AtomicBool>>,
     /// Kill flags: the node's thread drops its protocol state machine
@@ -253,156 +282,31 @@ pub(crate) struct ClusterCore<M> {
     /// on clusters spawned with a rebuild hook.
     pub restarts: Arc<Vec<AtomicBool>>,
     /// Availability mirror, written by each node's own loop (encoded as
-    /// [`crate::NodeStatus`]): ingress admission reads it to answer
-    /// `Syncing`/`Busy` instead of accepting work a down or catching-up
-    /// node could lose.
+    /// [`crate::NodeStatus`], plus [`STATUS_KILLED`]): ingress admission
+    /// reads it to answer `Syncing`/`Busy` instead of accepting work a down
+    /// or catching-up node could lose, and a kill waits on it.
     pub statuses: Arc<Vec<AtomicU8>>,
 }
 
-impl<M> ClusterCore<M> {
-    /// Creates the core for `n` nodes, handing back each node's event
-    /// receiver for its thread.
-    pub fn new(n: usize) -> (Self, Vec<Receiver<NodeEvent<M>>>) {
-        let mut evt_senders = Vec::with_capacity(n);
-        let mut evt_receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            evt_senders.push(tx);
-            evt_receivers.push(rx);
-        }
-        (
-            ClusterCore {
-                evt_senders,
-                log: Arc::new(DeliveryLog::new(n)),
-                crashed: Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-                paused: Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-                killed: Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-                restarts: Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-                statuses: Arc::new((0..n).map(|_| AtomicU8::new(0)).collect()),
-            },
-            evt_receivers,
-        )
-    }
-
-    /// `node`'s availability mirror, as written by its own loop (a
-    /// [`crate::NodeStatus`] encoding).
-    pub fn status(&self, node: NodeId) -> u8 {
-        self.statuses[node.as_usize()].load(Ordering::Acquire)
-    }
-
-    /// Submits a client transaction to `node`.
-    pub fn submit(&self, node: NodeId, tx: Transaction) {
-        let _ = self.evt_senders[node.as_usize()].send(NodeEvent::Transaction(tx));
-    }
-
-    /// Sets `node`'s crash flag and wakes its thread so the flag is seen
-    /// before any queued event.
-    pub fn crash(&self, node: NodeId) {
-        self.crashed[node.as_usize()].store(true, Ordering::SeqCst);
-        let _ = self.evt_senders[node.as_usize()].send(NodeEvent::Shutdown);
-    }
-
-    /// Pauses `node` (the crash half of a crash-recover fault): its thread
-    /// keeps running but discards every event and expires timers silently
-    /// until [`ClusterCore::resume`]. The flag is observed within the
-    /// thread's poll interval (≤ ~10 ms).
-    pub fn pause(&self, node: NodeId) {
-        self.paused[node.as_usize()].store(true, Ordering::SeqCst);
-    }
-
-    /// Resumes a paused `node` with its protocol state intact.
-    pub fn resume(&self, node: NodeId) {
-        self.paused[node.as_usize()].store(false, Ordering::SeqCst);
-    }
-
-    /// Kills `node`: its thread drops the protocol state machine — every
-    /// in-memory structure is gone, its durable store (if any) is closed —
-    /// and idles, discarding traffic. The node's delivery log is cleared by
-    /// its own thread when it observes the flag (the thread is the log
-    /// slot's only writer, so clearing there cannot race a final in-flight
-    /// delivery): a killed process's history is whatever its disk can prove.
-    pub fn kill(&self, node: NodeId) {
-        self.killed[node.as_usize()].store(true, Ordering::SeqCst);
-    }
-
-    /// Requests that a killed `node` restart from its durable store. The
-    /// flag is observed within the thread's poll interval; it is ignored on
-    /// clusters spawned without a rebuild hook.
-    pub fn restart(&self, node: NodeId) {
-        self.restarts[node.as_usize()].store(true, Ordering::SeqCst);
-    }
-
-    /// Marks `node` dormant (a late-join entry) by pre-setting its kill
-    /// flag. Called before the node threads spawn, so `run_node` observes
-    /// the flag at entry and drops the state machine without ever starting
-    /// it; a later [`ClusterCore::restart`] brings the node up mid-run.
-    pub fn set_dormant(&self, node: NodeId) {
-        self.killed[node.as_usize()].store(true, Ordering::SeqCst);
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.evt_senders.len()
-    }
-
-    /// Blocks delivered so far at `node` (a snapshot).
-    pub fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
-        self.log.entries.lock().expect("delivery log lock")[node.as_usize()]
-            .iter()
-            .map(|(d, _)| d.clone())
-            .collect()
-    }
-
-    /// Wall-clock offsets (from cluster start) of `node`'s deliveries so
-    /// far, parallel to [`ClusterCore::deliveries`].
-    pub fn delivery_times(&self, node: NodeId) -> Vec<Duration> {
-        self.log.entries.lock().expect("delivery log lock")[node.as_usize()]
-            .iter()
-            .map(|(_, at)| *at)
-            .collect()
-    }
-
-    /// Asks every node thread to stop.
-    pub fn signal_shutdown(&self) {
-        for s in &self.evt_senders {
-            let _ = s.send(NodeEvent::Shutdown);
-        }
-    }
-
-    /// Consumes the core and returns the final per-node deliveries (callers
-    /// join their node threads first, so the `Arc` is normally unique).
-    pub fn take_deliveries(self) -> Vec<Vec<Delivery>> {
-        let timed = Arc::try_unwrap(self.log)
-            .map(|log| log.entries.into_inner().expect("delivery log lock"))
-            .unwrap_or_else(|arc| arc.entries.lock().expect("delivery log lock").clone());
-        timed
-            .into_iter()
-            .map(|ds| ds.into_iter().map(|(d, _)| d).collect())
-            .collect()
-    }
-}
-
-/// The flag banks a node's thread watches, cloned out of [`ClusterCore`].
-pub(crate) struct NodeFlags {
-    pub crashed: Arc<Vec<AtomicBool>>,
-    pub paused: Arc<Vec<AtomicBool>>,
-    pub killed: Arc<Vec<AtomicBool>>,
-    pub restarts: Arc<Vec<AtomicBool>>,
-    pub statuses: Arc<Vec<AtomicU8>>,
-}
-
-impl<M> ClusterCore<M> {
-    /// The flag banks a node loop needs.
-    pub fn flags(&self) -> NodeFlags {
+impl NodeFlags {
+    /// All-clear banks for `n` nodes.
+    pub fn new(n: usize) -> Self {
+        let bools = || Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         NodeFlags {
-            crashed: self.crashed.clone(),
-            paused: self.paused.clone(),
-            killed: self.killed.clone(),
-            restarts: self.restarts.clone(),
-            statuses: self.statuses.clone(),
+            crashed: bools(),
+            paused: bools(),
+            killed: bools(),
+            restarts: bools(),
+            statuses: Arc::new((0..n).map(|_| AtomicU8::new(0)).collect()),
         }
     }
 }
+
+/// The status a node's loop mirrors once its state machine is gone (killed
+/// or dormant): down to [`crate::NodeStatus::from_u8`], and the
+/// acknowledgement a kill waits for — it is only written after the drop has
+/// closed the node's durable store.
+pub(crate) const STATUS_KILLED: u8 = 3;
 
 /// Rebuilds a node's protocol state machine from its durable store after a
 /// kill — installed per cluster by the runtime layer's builder.
@@ -492,10 +396,13 @@ pub(crate) fn run_node<P, E>(
         }
         let now = Instant::now();
         let down = alive.is_none() || flags.paused[i].load(Ordering::SeqCst);
-        // Mirror availability for the ingress layer: 2 down, 1 syncing,
-        // 0 accepting (the `crate::NodeStatus` encoding). Written only by
-        // this thread, so a plain store per iteration suffices.
-        let status = if down {
+        // Mirror availability for the ingress layer: 3 state dropped (the
+        // kill acknowledgement), 2 down, 1 syncing, 0 accepting (the
+        // `crate::NodeStatus` encoding). Written only by this thread, so a
+        // plain store per iteration suffices.
+        let status = if alive.is_none() {
+            STATUS_KILLED
+        } else if down {
             2
         } else if alive.as_ref().is_some_and(|n| n.is_syncing()) {
             1
@@ -563,6 +470,7 @@ pub(crate) fn run_node<P, E>(
                         node.on_transaction(tx, &mut out);
                         apply(me, &mut out, egress, &mut timers, &log);
                     }
+                    NodeEvent::Wake => {}
                     NodeEvent::Shutdown => return,
                 }
             }

@@ -1,30 +1,27 @@
 //! The event-driven socket engine: a small fixed pool of reactor threads
 //! multiplexing every peer connection in the mesh.
 //!
-//! The original TCP engine dedicates one reader and one writer thread to
-//! every stream — O(n²) threads cluster-wide — which caps realistic cluster
-//! sizes in the single digits. This module replaces those per-stream threads
-//! with `k` **reactor threads** (default [`DEFAULT_REACTOR_THREADS`]), each
-//! owning a static partition of the mesh's connections and driving them with
-//! nonblocking I/O:
+//! A reader and a writer thread per stream would cost O(n²) threads
+//! cluster-wide and cap realistic cluster sizes in the single digits (the
+//! engine PR 10 replaced; its before/after rows are in
+//! `BENCH_throughput.json`). Instead, [`DEFAULT_REACTOR_THREADS`] **reactor
+//! threads** each own a static partition of the mesh's connections and
+//! drive them with nonblocking I/O:
 //!
 //! * every stream is `set_nonblocking(true)` and wrapped in a [`Conn`];
 //! * a reactor thread sweeps its connections in a loop, advancing each
 //!   connection's **read state machine** ([`FrameReader`]: resumable
-//!   partial-frame accumulation into the same grow-only payload buffer the
-//!   per-stream readers used) and **write state machine** ([`WriteCursor`]:
-//!   the drain-and-coalesce batching of `write_coalesced`, made resumable
-//!   across `WouldBlock`);
+//!   partial-frame accumulation into a grow-only payload buffer) and
+//!   **write state machine** ([`WriteCursor`]: the drain-and-coalesce
+//!   batching of `write_coalesced`, made resumable across `WouldBlock`);
 //! * when a sweep makes no progress the thread backs off — first yielding,
 //!   then sleeping — so an idle cluster costs ~0 CPU while a loaded one
 //!   never sleeps.
 //!
-//! Everything *around* the engine is unchanged: frames still enter through
-//! the per-connection mpsc outbox that [`crate::tcp`]'s egress (and the
-//! fault shim's delay line) feed, and decoded messages still leave through
-//! the node's event queue — the reactor only replaces who performs the
-//! socket syscalls. Total cluster threads drop from `n + 2n(n−1)` to
-//! `n + k`.
+//! Frames enter through the per-connection mpsc outbox that
+//! [`crate::tcp`]'s egress (and the fault shim's delay line) feed, and
+//! decoded messages leave through the node's event queue. Total cluster
+//! threads are `n + DEFAULT_REACTOR_THREADS`.
 //!
 //! This is std-only by design (no epoll/kqueue binding): readiness is
 //! discovered by attempting the nonblocking syscall and treating
@@ -43,13 +40,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default size of the reactor pool.
+/// Size of the reactor pool (at most one thread per connection).
 ///
 /// Four threads saturate a localhost mesh well past n = 64 while staying
-/// below the core count of small CI hosts; [`ClusterBuilder::reactor_threads`]
-/// overrides it per cluster.
-///
-/// [`ClusterBuilder::reactor_threads`]: ../../fireledger_runtime/struct.ClusterBuilder.html#method.reactor_threads
+/// below the core count of small CI hosts.
 pub const DEFAULT_REACTOR_THREADS: usize = 4;
 
 /// Frames decoded per connection per sweep before the reactor moves on —
@@ -67,47 +61,14 @@ const SPIN_SWEEPS: u32 = 16;
 /// [`SPIN_SWEEPS`]. Bounds added latency when traffic resumes.
 const IDLE_SLEEP: Duration = Duration::from_micros(100);
 
-/// Which socket engine a TCP cluster runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TcpEngine {
-    /// The original engine: one blocking reader thread and one blocking
-    /// writer thread per stream — O(n²) threads cluster-wide. Retained so
-    /// before/after comparisons (and the n-sweep bench rows) run on one
-    /// binary; new code should prefer [`TcpEngine::Reactor`].
-    ThreadPerPeer,
-    /// The event-driven engine: `threads` nonblocking reactor threads own
-    /// all streams. `threads == 0` selects [`DEFAULT_REACTOR_THREADS`].
-    Reactor {
-        /// Size of the reactor pool (0 = default).
-        threads: usize,
-    },
-}
-
-impl Default for TcpEngine {
-    fn default() -> Self {
-        TcpEngine::Reactor { threads: 0 }
-    }
-}
-
-impl TcpEngine {
-    /// The pool size this engine resolves to (0 for the thread-per-peer
-    /// engine, whose I/O thread count is a function of `n` instead).
-    pub fn pool_size(self) -> usize {
-        match self {
-            TcpEngine::ThreadPerPeer => 0,
-            TcpEngine::Reactor { threads: 0 } => DEFAULT_REACTOR_THREADS,
-            TcpEngine::Reactor { threads } => threads,
-        }
-    }
-
-    /// Short label for reports and bench rows.
-    pub fn label(self) -> &'static str {
-        match self {
-            TcpEngine::ThreadPerPeer => "thread-per-peer",
-            TcpEngine::Reactor { .. } => "reactor",
-        }
-    }
-}
+/// The socket engine of a TCP cluster — there is one, this reactor with
+/// [`DEFAULT_REACTOR_THREADS`] threads, so the type carries nothing.
+///
+/// Vestigial: it survives only because the repo benchmark passes
+/// `ClusterBuilder::tcp_engine()` to `RealtimeCluster::spawn_engine`; the
+/// next `[benchmark]` PR drops the parameter and this type with it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TcpEngine;
 
 /// What one [`FrameReader::step`] call produced.
 #[derive(Debug, PartialEq, Eq)]
@@ -328,9 +289,8 @@ impl WriteCursor {
 /// both direction's state machines, the outbox the egress feeds, and the
 /// event queue decoded messages drain into.
 ///
-/// The read and write halves fail independently, exactly like the dedicated
-/// reader/writer threads they replace: a framing violation kills only the
-/// read half; a write error kills only the write half.
+/// The read and write halves fail independently: a framing violation kills
+/// only the read half; a write error kills only the write half.
 pub(crate) struct Conn<M> {
     pub(crate) stream: TcpStream,
     /// The peer on the far end (the `from` of every decoded message).
@@ -406,8 +366,7 @@ impl<M: WireCodec> Conn<M> {
                 }
                 Err(_) => {
                     // Dead peer: the write half is done for good. The read
-                    // half keeps going — same independence the dedicated
-                    // writer threads had.
+                    // half keeps going.
                     self.write_dead = true;
                     break;
                 }
@@ -779,14 +738,5 @@ mod tests {
         // refill report the outbox disconnected.
         drop(tx);
         assert_eq!(cursor.refill(&rx, 8), (0, true));
-    }
-
-    #[test]
-    fn engine_labels_and_pool_sizes() {
-        assert_eq!(TcpEngine::default().pool_size(), DEFAULT_REACTOR_THREADS);
-        assert_eq!(TcpEngine::Reactor { threads: 2 }.pool_size(), 2);
-        assert_eq!(TcpEngine::ThreadPerPeer.pool_size(), 0);
-        assert_eq!(TcpEngine::default().label(), "reactor");
-        assert_eq!(TcpEngine::ThreadPerPeer.label(), "thread-per-peer");
     }
 }

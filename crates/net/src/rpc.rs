@@ -1,13 +1,13 @@
 //! The client-facing RPC front end (WIRE_FORMAT.md §11).
 //!
-//! Each node of a [`crate::TcpCluster`] can serve a client listener: real
-//! `TcpStream`s carrying [`RpcMsg`] frames — the same 9-byte frame header
-//! and strict validation as the inter-node mesh, but a *request/reply*
-//! discipline instead of a full-duplex protocol stream. The
-//! [`crate::ThreadedCluster`] serves the identical verbs through an
-//! in-process call path ([`crate::ThreadedCluster::rpc_call`]), so the
-//! runtime matrix covers ingress on channels and on sockets with one
-//! handler implementation.
+//! Each node of a socket-mesh [`crate::RealtimeCluster`] can serve a client
+//! listener: real `TcpStream`s carrying [`RpcMsg`] frames — the same 9-byte
+//! frame header and strict validation as the inter-node mesh, but a
+//! *request/reply* discipline instead of a full-duplex protocol stream. On
+//! channels the cluster serves the identical verbs through an in-process
+//! call path ([`crate::RealtimeCluster::rpc_call`]), so the runtime matrix
+//! covers ingress on channels and on sockets with one handler
+//! implementation.
 //!
 //! The transport is deliberately policy-free: every decoded message goes to
 //! an [`RpcHandler`] (implemented by the runtime layer over the admission

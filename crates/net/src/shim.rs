@@ -1,5 +1,5 @@
-//! The real-time fault-injection shim shared by the threaded and TCP
-//! runtimes.
+//! The real-time fault-injection shim shared by the channel and socket
+//! transports.
 //!
 //! A [`LinkShim`] is the real-time counterpart of the simulator's
 //! `PlanAdversary`: it wraps a runtime's egress path and consults the shared
@@ -12,9 +12,10 @@
 //!
 //! * **threads runtime** — between the protocol's `Outbox` drain and the
 //!   peers' `mpsc` event queues (messages are intercepted as Rust values);
-//! * **TCP runtime** — between the wire codec and the per-peer writer
-//!   threads (messages are intercepted as fully framed byte buffers, so a
-//!   delayed or duplicated frame exercises the real socket path end to end).
+//! * **TCP runtime** — between the wire codec and the per-connection
+//!   reactor outboxes (messages are intercepted as fully framed byte
+//!   buffers, so a delayed or duplicated frame exercises the real socket
+//!   path end to end).
 //!
 //! Delayed and reordered messages are parked on a [`DelayLine`] — one extra
 //! thread per faulty cluster that owns a deadline heap and re-injects each
@@ -110,7 +111,9 @@ impl<T: Send + 'static> DelayLine<T> {
     pub fn sender(&self) -> Sender<(Instant, usize, T)> {
         self.tx.clone()
     }
+}
 
+impl<T> DelayLine<T> {
     /// Stops the thread. Items still parked are discarded — the run is
     /// over. Call after the node threads (and with them every egress clone
     /// of the sender) have been joined.

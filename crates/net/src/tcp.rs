@@ -1,6 +1,7 @@
-//! The TCP runtime: each node owns real sockets in a static localhost mesh.
+//! The socket transport: each node owns real sockets in a static localhost
+//! mesh.
 //!
-//! This is the runtime the paper's deployment shape calls for — nodes that
+//! This is the transport the paper's deployment shape calls for — nodes that
 //! exchange *bytes*, not Rust values. Every message crosses a real
 //! `std::net::TcpStream`, framed per WIRE_FORMAT.md §3 and encoded with the
 //! message's [`WireCodec`] layout, so the whole encode → socket → decode path
@@ -12,26 +13,18 @@
 //! at start-up (node `i` dials node `j` for `i < j`) and never re-established
 //! — a connection teardown is treated as a benign crash of the remote end,
 //! matching the paper's link model. Each node runs one protocol thread (the
-//! shared event loop of [`crate::node_loop`]); who performs the socket I/O
-//! is the cluster's [`TcpEngine`]:
+//! shared event loop of [`crate::node_loop`]), and a fixed pool of
+//! [`DEFAULT_REACTOR_THREADS`] nonblocking reactor threads — see
+//! [`crate::reactor`] — multiplexes **all** streams, so total cluster
+//! threads are `n + DEFAULT_REACTOR_THREADS`. This is what lets a single
+//! host run the n = 32–64 meshes the paper's scalability figures need.
 //!
-//! * [`TcpEngine::Reactor`] (the default): a small fixed pool of
-//!   `reactor_threads` nonblocking poll threads — see [`crate::reactor`] —
-//!   multiplexes **all** streams, so total cluster threads are `n + k`.
-//!   This is what lets a single host run the n = 32–64 meshes the paper's
-//!   scalability figures need.
-//! * [`TcpEngine::ThreadPerPeer`] (the original engine, retained for
-//!   before/after benchmarking): per stream, one reader thread decoding
-//!   frames into the node's event queue and one writer thread draining an
-//!   unbounded channel of pre-encoded frames — O(n²) threads cluster-wide.
-//!
-//! Either way a slow or dead peer never stalls the protocol thread, and
-//! there is **no back-pressure**: frames addressed to a stalled peer buffer
-//! in that peer's outbox channel for the remainder of the run, so sender
-//! memory grows with how long the peer stays stalled. For the bounded
-//! benchmark runs this runtime serves, that is the right trade; a
-//! long-lived deployment would want a bounded channel plus a disconnect
-//! policy instead.
+//! A slow or dead peer never stalls the protocol thread, and there is **no
+//! back-pressure**: frames addressed to a stalled peer buffer in that peer's
+//! outbox channel for the remainder of the run, so sender memory grows with
+//! how long the peer stays stalled. For the bounded benchmark runs this
+//! transport serves, that is the right trade; a long-lived deployment would
+//! want a bounded channel plus a disconnect policy instead.
 //!
 //! ## Handshake
 //!
@@ -40,32 +33,28 @@
 //! before attaching the connection to the mesh. Frames that fail validation
 //! tear the connection down.
 
-use crate::frame::{read_frame, read_frame_into, write_coalesced, write_frame};
-use crate::node_loop::{
-    run_node, spawn_preverify_stages, ClusterCore, Egress, NodeEvent, PreVerify,
-};
-use crate::reactor::{Conn, Reactor, TcpEngine};
+use crate::cluster::{Transport, Wiring};
+use crate::frame::{read_frame, write_frame};
+use crate::node_loop::{Egress, NodeEvent, PreVerify, Rebuild};
+use crate::reactor::{Conn, Reactor, TcpEngine, DEFAULT_REACTOR_THREADS};
 use crate::shim::{DelayLine, LinkShim};
 use crate::RealtimeCluster;
 use fireledger_types::codec::{FrameHeader, FRAME_HEADER_LEN};
-use fireledger_types::{
-    Delivery, FaultPlan, LinkDecision, NodeId, Protocol, Transaction, WireCodec,
-};
+use fireledger_types::{FaultPlan, LinkDecision, NodeId, Protocol, WireCodec};
 use std::io;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Sender, TryRecvError};
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Upper bound on frames drained per writer wakeup: bounds the batch vector
+/// Upper bound on frames drained per outbox refill: bounds the batch vector
 /// and keeps a single vectored write under the kernel's iovec limit ballpark
 /// (`IOV_MAX` is 1024 on Linux; `write_vectored` handles the excess, this
 /// just avoids pathological batch growth while the socket is stalled).
 const MAX_BATCH_FRAMES: usize = 1024;
 
 /// Builds the complete frame (header + payload) for one message, shared
-/// across all writer threads of a broadcast. [`WireCodec::encoded_len`]
+/// across all outboxes of a broadcast. [`WireCodec::encoded_len`]
 /// sizes the buffer exactly (one right-sized allocation, no growth
 /// reallocations, no payload copy), but the header's length field is
 /// written from the bytes *actually encoded* — the size hint is purely
@@ -81,7 +70,7 @@ fn frame_of<M: WireCodec>(msg: &M) -> Arc<Vec<u8>> {
     Arc::new(out)
 }
 
-/// Routes a node's outbound messages to its per-peer writer threads,
+/// Routes a node's outbound messages to its per-peer outboxes,
 /// encoding each message exactly once. A send addressed to the node itself
 /// loops back through its own event queue — the same semantics the mpsc
 /// runtime and the simulator give self-sends, with no socket involved.
@@ -111,7 +100,7 @@ impl<M: WireCodec> Egress<M> for TcpEgress<M> {
 }
 
 /// [`TcpEgress`] wrapped in the fault-plan link shim. The interceptor sits
-/// **between the wire codec and the per-peer writer threads**: messages are
+/// **between the wire codec and the per-peer outboxes**: messages are
 /// encoded and framed exactly once (shared across a broadcast, like the
 /// fault-free path), and the *frame* is then dropped, parked on the delay
 /// line, or queued twice per the link's decision — so every surviving copy
@@ -123,7 +112,7 @@ struct ShimmedTcpEgress<M> {
     writers: Vec<Option<Sender<Arc<Vec<u8>>>>>,
     loopback: Sender<NodeEvent<M>>,
     shim: LinkShim,
-    /// Delay-line targets are the flat writer table (`from * n + to`).
+    /// Delay-line targets are the flat outbox table (`from * n + to`).
     delay: Sender<(Instant, usize, Arc<Vec<u8>>)>,
 }
 
@@ -138,7 +127,7 @@ impl<M: WireCodec> ShimmedTcpEgress<M> {
                 let _ = w.send(frame);
             }
             LinkDecision::Drop => {}
-            // A parked frame bypasses the writer queue's FIFO order, so
+            // A parked frame bypasses the outbox's FIFO order, so
             // delay and reorder coincide on real sockets (see the threaded
             // shim for the same note).
             LinkDecision::Delay(d) | LinkDecision::Reorder(d) => {
@@ -174,592 +163,157 @@ impl<M: WireCodec> Egress<M> for ShimmedTcpEgress<M> {
     }
 }
 
-/// A running TCP cluster: real sockets over localhost, one thread per node
-/// plus per-peer reader/writer threads.
-///
-/// The public surface mirrors [`crate::ThreadedCluster`] so the two runtimes
-/// are interchangeable to a driver.
-pub struct TcpCluster<M> {
-    core: ClusterCore<M>,
-    node_handles: Vec<JoinHandle<()>>,
-    io_handles: Vec<JoinHandle<()>>,
-    /// The reactor pool, when the cluster runs on [`TcpEngine::Reactor`]
-    /// (and has at least one socket).
-    reactor: Option<Reactor>,
-    /// Every stream endpoint we hold (two per connection, one per side), kept
-    /// to force-unblock reader/writer threads at shutdown.
-    streams: Vec<TcpStream>,
-    delay: Option<DelayLine<Arc<Vec<u8>>>>,
-    /// Per-node client listeners, when [`TcpCluster::serve_rpc`] was called.
-    rpc: Option<crate::rpc::RpcServer>,
-    /// Listener addresses, index-aligned with node ids (empty until
-    /// [`TcpCluster::serve_rpc`]).
-    rpc_addrs: Vec<std::net::SocketAddr>,
-    /// Lazily-dialed client connections backing [`TcpCluster::rpc_call`],
-    /// one slot per node; a transport error drops the slot so the next call
-    /// redials.
-    rpc_clients: Mutex<Vec<Option<crate::rpc::RpcClient>>>,
-}
-
-impl<M> TcpCluster<M>
+impl<M> RealtimeCluster<M>
 where
-    M: WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
+    M: WireCodec + Clone + Send + Sync + 'static,
 {
     /// Binds one listener per node, dials the full mesh, performs the hello
-    /// handshake on every connection, and starts all threads, fault-free.
-    pub fn spawn<P>(nodes: Vec<P>) -> io::Result<Self>
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_with_faults(nodes, None)
-    }
-
-    /// Like [`TcpCluster::spawn`], but with an optional [`FaultPlan`]
-    /// compiled into a frame-level interceptor between the codec and every
-    /// per-peer writer thread. The plan's time offsets are measured from
-    /// the moment the mesh is fully dialed (just before the node threads
-    /// start).
-    pub fn spawn_with_faults<P>(nodes: Vec<P>, faults: Option<FaultPlan>) -> io::Result<Self>
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_full(nodes, faults, None)
-    }
-
-    /// Like [`TcpCluster::spawn_with_faults`], plus an optional
-    /// [`PreVerify`] hook: each node gets a pre-verify stage thread between
-    /// its ingress (fed by the per-peer reader threads and the loopback)
-    /// and its event loop, so frames decoded off the wire are
-    /// batch-verified before the consensus loop sees them. Reader threads
-    /// keep doing the decoding in parallel; the stage pays the cryptographic
-    /// validation.
-    pub fn spawn_full<P>(
-        nodes: Vec<P>,
-        faults: Option<FaultPlan>,
-        pre_verify: Option<Arc<dyn PreVerify<M>>>,
-    ) -> io::Result<Self>
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_durable(nodes, faults, pre_verify, None)
-    }
-
-    /// Like [`TcpCluster::spawn_full`], additionally installing a rebuild
-    /// hook: after [`TcpCluster::kill`] destroys a node's protocol state,
-    /// [`TcpCluster::restart`] invokes the hook to reconstruct the node —
-    /// typically from its durable store — and re-enters it into the mesh.
-    /// The sockets are never re-dialed: the mesh is static, and what a
-    /// "kill -9" destroys is the protocol's process state, which is exactly
-    /// what the hook rebuilds.
-    pub fn spawn_durable<P>(
-        nodes: Vec<P>,
-        faults: Option<FaultPlan>,
-        pre_verify: Option<Arc<dyn PreVerify<M>>>,
-        rebuild: Option<Arc<dyn Fn(NodeId) -> P + Send + Sync>>,
-    ) -> io::Result<Self>
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_cluster(nodes, faults, pre_verify, rebuild, &[])
-    }
-
-    /// The full spawn: like [`TcpCluster::spawn_durable`], with some nodes
-    /// additionally spawned **dormant** (late join): a dormant node's
-    /// sockets, reader/writer threads and event loop come up with everyone
-    /// else's — the mesh is static — but its protocol state machine is
-    /// dropped before it ever starts. A later [`TcpCluster::restart`]
-    /// rebuilds it through the rebuild hook, which is how a node enters the
-    /// cluster mid-run and catches up through state sync.
-    pub fn spawn_cluster<P>(
-        nodes: Vec<P>,
-        faults: Option<FaultPlan>,
-        pre_verify: Option<Arc<dyn PreVerify<M>>>,
-        rebuild: Option<Arc<dyn Fn(NodeId) -> P + Send + Sync>>,
-        dormant: &[NodeId],
-    ) -> io::Result<Self>
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_engine(
-            nodes,
-            faults,
-            pre_verify,
-            rebuild,
-            dormant,
-            TcpEngine::default(),
-        )
-    }
-
-    /// [`TcpCluster::spawn_cluster`] with an explicit socket [`TcpEngine`].
-    /// Every other spawn entry point uses the default (the reactor with
-    /// [`crate::DEFAULT_REACTOR_THREADS`] threads); this one is for drivers
-    /// that expose the knob — [`ClusterBuilder::reactor_threads`] — and for
-    /// the before/after scaling benchmarks that pin the legacy
-    /// thread-per-peer engine.
-    ///
-    /// [`ClusterBuilder::reactor_threads`]: ../fireledger_runtime/struct.ClusterBuilder.html#method.reactor_threads
+    /// handshake on every connection, hands every stream to the reactor, and
+    /// starts the node threads. The parameters mean what they mean for
+    /// [`RealtimeCluster::spawn_channels`], except that the fault plan is a
+    /// frame-level interceptor between the codec and the reactor outboxes,
+    /// its offsets measured from the moment the mesh is fully dialed; a
+    /// restart re-enters the node on its original sockets (the mesh is
+    /// static — what a "kill -9" destroys is the protocol's process state).
+    /// `engine` is vestigial (see [`TcpEngine`]).
     pub fn spawn_engine<P>(
         nodes: Vec<P>,
         faults: Option<FaultPlan>,
         pre_verify: Option<Arc<dyn PreVerify<M>>>,
-        rebuild: Option<Arc<dyn Fn(NodeId) -> P + Send + Sync>>,
+        rebuild: Option<Rebuild<P>>,
         dormant: &[NodeId],
-        engine: TcpEngine,
+        _engine: TcpEngine,
     ) -> io::Result<Self>
     where
         P: Protocol<Msg = M> + Send + 'static,
     {
         let n = nodes.len();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            listeners.push(listener);
-        }
+        let mesh = dial_mesh(n)?;
+        let wiring = Wiring::new(n, pre_verify.as_ref(), dormant);
 
-        // mesh[i][j]: the stream node i uses to exchange frames with node j.
-        // Index loops, not iterators: each pass fills both mesh[i][j] and
-        // mesh[j][i].
-        let mut mesh: Vec<Vec<Option<TcpStream>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let mut dialed = TcpStream::connect(addrs[j])?;
-                dialed.set_nodelay(true)?;
-                // Hello handshake (WIRE_FORMAT.md §3.1): the dialer
-                // identifies itself; the acceptor validates before attaching.
-                write_frame(&mut dialed, &NodeId(i as u32).encode())?;
-                let (mut accepted, _) = listeners[j].accept()?;
-                accepted.set_nodelay(true)?;
-                let hello = read_frame(&mut accepted)?.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before hello")
-                })?;
-                let peer = NodeId::decode(&hello)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                if peer != NodeId(i as u32) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("hello claims {peer}, expected p{i}"),
-                    ));
-                }
-                mesh[i][j] = Some(dialed);
-                mesh[j][i] = Some(accepted);
-            }
-        }
-
-        let (core, mut evt_receivers) = ClusterCore::new(n);
-        for node in dormant {
-            core.set_dormant(*node);
-        }
+        // Every live stream goes to the reactor; its ingress is a
+        // per-connection mpsc outbox whose sender goes into a flat
+        // `from * n + to` table, so the egresses — and the fault delay line,
+        // which re-injects a parked frame into the right outbox regardless
+        // of which node parked it — address outboxes the same way.
         let mut streams = Vec::new();
-        let mut io_handles = Vec::new();
-        if let Some(pv) = &pre_verify {
-            let (staged, stage_handles) = spawn_preverify_stages(evt_receivers, pv);
-            evt_receivers = staged;
-            io_handles.extend(stage_handles);
-        }
-
-        // First pass: attach every live stream to the engine. Either way,
-        // the stream's ingress into the engine is a per-connection mpsc
-        // outbox whose sender goes into a flat `from * n + to` table, so
-        // the egress paths — and the fault delay line, which re-injects a
-        // parked frame into the right outbox regardless of which node
-        // parked it — are identical across engines.
-        let mut writers_flat: Vec<Option<Sender<Arc<Vec<u8>>>>> = vec![None; n * n];
+        let mut writers: Vec<Option<Sender<Arc<Vec<u8>>>>> = vec![None; n * n];
         let mut conns: Vec<Conn<M>> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in 0..n {
-                let Some(stream) = mesh[i][j].take() else {
+        for (i, row) in mesh.into_iter().enumerate() {
+            for (j, stream) in row.into_iter().enumerate() {
+                let Some(stream) = stream else {
                     continue;
                 };
                 streams.push(stream.try_clone()?);
                 let (wtx, wrx) = channel::<Arc<Vec<u8>>>();
-                writers_flat[i * n + j] = Some(wtx);
-
-                if let TcpEngine::Reactor { .. } = engine {
-                    // Reactor engine: register the nonblocking stream; a
-                    // pool thread drives both direction's state machines.
-                    stream.set_nonblocking(true)?;
-                    conns.push(Conn::new(
-                        stream,
-                        NodeId(j as u32),
-                        NodeId(i as u32),
-                        wrx,
-                        core.evt_senders[i].clone(),
-                    ));
-                    continue;
-                }
-
-                // Legacy engine, writer thread: drain-and-coalesce. Block
-                // for the first frame, then opportunistically drain
-                // everything else already queued and hand the whole batch
-                // to the kernel as one vectored write — one syscall per
-                // wakeup instead of one per message. The batch vector is
-                // reused across wakeups.
-                let mut write_half = stream.try_clone()?;
-                io_handles.push(std::thread::spawn(move || {
-                    let mut batch: Vec<Arc<Vec<u8>>> = Vec::new();
-                    while let Ok(first) = wrx.recv() {
-                        batch.clear();
-                        batch.push(first);
-                        while batch.len() < MAX_BATCH_FRAMES {
-                            match wrx.try_recv() {
-                                Ok(frame) => batch.push(frame),
-                                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                            }
-                        }
-                        let views: Vec<&[u8]> = batch.iter().map(|f| f.as_slice()).collect();
-                        if write_coalesced(&mut write_half, &views).is_err() {
-                            return;
-                        }
-                    }
-                }));
-
-                // Legacy engine, reader thread: decode frames into the
-                // node's event queue, reusing one payload buffer for every
-                // frame on the stream. Each frame's bytes are wrapped in
-                // one Arc-backed `Bytes` and decoded zero-copy: every
-                // transaction payload and signature in the message is a
-                // view into that single allocation, not a per-field copy.
-                // Any framing or codec violation tears the connection down.
-                let mut read_half = stream;
-                let evt_tx = core.evt_senders[i].clone();
-                let from = NodeId(j as u32);
-                io_handles.push(std::thread::spawn(move || {
-                    let mut payload = Vec::new();
-                    loop {
-                        let len = match read_frame_into(&mut read_half, &mut payload) {
-                            Ok(Some(len)) => len,
-                            // Clean close: the peer shut down — a benign
-                            // crash under the paper's link model.
-                            Ok(None) => return,
-                            Err(e) => {
-                                // A framing violation on an inter-node link
-                                // (bad magic, oversized length, torn frame)
-                                // is a peer bug or an attack: name the peer
-                                // and the reason before tearing down.
-                                if e.kind() == io::ErrorKind::InvalidData {
-                                    eprintln!(
-                                        "fireledger-net: tearing down link p{j} -> p{i}: {e}"
-                                    );
-                                }
-                                return;
-                            }
-                        };
-                        let backing = fireledger_types::Bytes::copy_from_slice(&payload[..len]);
-                        let msg = match M::decode_shared(&backing) {
-                            Ok(msg) => msg,
-                            Err(e) => {
-                                eprintln!(
-                                    "fireledger-net: tearing down link p{j} -> p{i}: \
-                                     undecodable frame ({len} bytes): {e}"
-                                );
-                                return;
-                            }
-                        };
-                        if evt_tx.send(NodeEvent::Message { from, msg }).is_err() {
-                            return;
-                        }
-                    }
-                }));
+                writers[i * n + j] = Some(wtx);
+                stream.set_nonblocking(true)?;
+                conns.push(Conn::new(
+                    stream,
+                    NodeId(j as u32),
+                    NodeId(i as u32),
+                    wrx,
+                    wiring.evt_senders[i].clone(),
+                ));
             }
         }
+        let reactor = (!conns.is_empty())
+            .then(|| Reactor::spawn(conns, DEFAULT_REACTOR_THREADS, MAX_BATCH_FRAMES));
 
-        let reactor = if conns.is_empty() {
-            None
-        } else {
-            Some(Reactor::spawn(conns, engine.pool_size(), MAX_BATCH_FRAMES))
-        };
-
-        let delay = faults
-            .as_ref()
-            .map(|_| DelayLine::new(writers_flat.clone()));
-
-        // Second pass: the protocol threads, each with its egress (shimmed
-        // when a fault plan is active).
-        let start = core.log.start();
-        let mut node_handles = Vec::with_capacity(n);
-        for (i, (node, evt_rx)) in nodes.into_iter().zip(evt_receivers).enumerate() {
-            let me = NodeId(i as u32);
-            let writers: Vec<Option<Sender<Arc<Vec<u8>>>>> =
-                writers_flat[i * n..(i + 1) * n].to_vec();
-            let log = core.log.clone();
-            let flags = core.flags();
-            let rebuild = rebuild.clone();
-            let loopback = core.evt_senders[i].clone();
-            match &faults {
-                None => {
-                    let mut egress = TcpEgress {
-                        me,
-                        writers,
-                        loopback,
-                    };
-                    node_handles.push(std::thread::spawn(move || {
-                        run_node(node, me, evt_rx, &mut egress, log, flags, rebuild);
-                    }));
-                }
-                Some(plan) => {
-                    let mut egress = ShimmedTcpEgress {
-                        me,
-                        n,
-                        writers,
-                        loopback,
-                        shim: LinkShim::new(plan.clone(), start),
-                        delay: delay.as_ref().expect("delay line exists").sender(),
-                    };
-                    node_handles.push(std::thread::spawn(move || {
-                        run_node(node, me, evt_rx, &mut egress, log, flags, rebuild);
-                    }));
-                }
-            }
-        }
-
-        Ok(TcpCluster {
-            core,
-            node_handles,
-            io_handles,
+        let writers_of = |i: usize| writers[i * n..(i + 1) * n].to_vec();
+        let loopback = |i: usize| wiring.evt_senders[i].clone();
+        let transport = |delay| Transport::Sockets {
             reactor,
             streams,
             delay,
             rpc: None,
-            rpc_addrs: Vec::new(),
-            rpc_clients: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Starts one client-facing RPC listener per node (WIRE_FORMAT.md §11)
-    /// and returns their addresses, index-aligned with node ids. Accepted
-    /// submissions enter the node through the same event channel as
-    /// [`TcpCluster::submit`]. Call once, before driving traffic.
-    pub fn serve_rpc(
-        &mut self,
-        handler: Arc<dyn crate::rpc::RpcHandler>,
-    ) -> io::Result<Vec<std::net::SocketAddr>> {
-        assert!(self.rpc.is_none(), "serve_rpc is once per cluster");
-        let submitters: Vec<_> = (0..self.core.len())
-            .map(|i| {
-                let evt_tx = self.core.evt_senders[i].clone();
-                move |tx: Transaction| {
-                    let _ = evt_tx.send(NodeEvent::Transaction(tx));
-                }
-            })
-            .collect();
-        let server = crate::rpc::RpcServer::spawn(handler, submitters)?;
-        let addrs = server.addrs().to_vec();
-        self.rpc = Some(server);
-        self.rpc_addrs = addrs.clone();
-        *self.rpc_clients.lock().expect("rpc client pool") =
-            (0..self.core.len()).map(|_| None).collect();
-        Ok(addrs)
-    }
-
-    /// Serves one client RPC against `node` over a real socket round-trip
-    /// through the listener started by [`TcpCluster::serve_rpc`]: the
-    /// message is framed, written to the node's client port, and the reply
-    /// frame decoded — the full §11 wire path. Returns `None` when no
-    /// listener is up or the transport failed (the connection slot is
-    /// dropped and redialed on the next call).
-    pub fn rpc_call(
-        &self,
-        node: NodeId,
-        msg: &fireledger_types::rpc::RpcMsg,
-    ) -> Option<fireledger_types::rpc::RpcMsg> {
-        let addr = *self.rpc_addrs.get(node.as_usize())?;
-        let mut pool = self.rpc_clients.lock().expect("rpc client pool");
-        let slot = pool.get_mut(node.as_usize())?;
-        if slot.is_none() {
-            *slot = crate::rpc::RpcClient::connect(addr).ok();
-        }
-        let client = slot.as_mut()?;
-        match client.call(msg) {
-            Ok(reply) => Some(reply),
-            Err(_) => {
-                *slot = None;
-                None
+            rpc_clients: Mutex::new((0..n).map(|_| None).collect()),
+        };
+        match faults {
+            None => {
+                let egresses = (0..n)
+                    .map(|i| TcpEgress {
+                        me: NodeId(i as u32),
+                        writers: writers_of(i),
+                        loopback: loopback(i),
+                    })
+                    .collect();
+                Ok(wiring.launch(nodes, egresses, rebuild, transport(None)))
+            }
+            Some(plan) => {
+                let delay = DelayLine::new(writers.clone());
+                let start = wiring.log.start();
+                let egresses = (0..n)
+                    .map(|i| ShimmedTcpEgress {
+                        me: NodeId(i as u32),
+                        n,
+                        writers: writers_of(i),
+                        loopback: loopback(i),
+                        shim: LinkShim::new(plan.clone(), start),
+                        delay: delay.sender(),
+                    })
+                    .collect();
+                Ok(wiring.launch(nodes, egresses, rebuild, transport(Some(delay))))
             }
         }
     }
-
-    /// `node`'s availability as mirrored by its own event loop.
-    pub fn node_status(&self, node: NodeId) -> crate::NodeStatus {
-        crate::NodeStatus::from_u8(self.core.status(node))
-    }
-
-    /// Submits a client transaction to `node`.
-    pub fn submit(&self, node: NodeId, tx: Transaction) {
-        self.core.submit(node, tx);
-    }
-
-    /// Crashes `node` (same semantics as [`crate::ThreadedCluster::crash`]):
-    /// its protocol thread stops without draining its backlog; its sockets
-    /// stay open but go silent, which is how a benign crash looks to peers.
-    pub fn crash(&self, node: NodeId) {
-        self.core.crash(node);
-    }
-
-    /// Pauses `node` (the crash half of a crash-recover fault): its
-    /// protocol thread discards events and expires timers silently until
-    /// [`TcpCluster::resume`]. Its sockets stay open but go silent.
-    pub fn pause(&self, node: NodeId) {
-        self.core.pause(node);
-    }
-
-    /// Resumes a paused `node`.
-    pub fn resume(&self, node: NodeId) {
-        self.core.resume(node);
-    }
-
-    /// Kills `node`: its protocol state machine is dropped outright —
-    /// in-memory state destroyed, durable store closed, delivery log
-    /// cleared — while its thread and sockets stay up to host a possible
-    /// restart. Harsher than [`TcpCluster::pause`], which keeps state.
-    pub fn kill(&self, node: NodeId) {
-        self.core.kill(node);
-    }
-
-    /// Restarts a killed `node` through the rebuild hook installed by
-    /// [`TcpCluster::spawn_durable`] (ignored without one): the node is
-    /// reconstructed from its durable store and rejoins the mesh on its
-    /// original sockets.
-    pub fn restart(&self, node: NodeId) {
-        self.core.restart(node);
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// True when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.core.len() == 0
-    }
-
-    /// Blocks delivered so far at `node` (a snapshot).
-    pub fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
-        self.core.deliveries(node)
-    }
-
-    /// Wall-clock offsets (from cluster start) of `node`'s deliveries.
-    pub fn delivery_times(&self, node: NodeId) -> Vec<Duration> {
-        self.core.delivery_times(node)
-    }
-
-    /// The instant the cluster's clock started (the zero point of
-    /// [`TcpCluster::delivery_times`]).
-    pub fn start(&self) -> std::time::Instant {
-        self.core.log.start()
-    }
-
-    /// Threads this cluster is running right now: protocol threads, socket
-    /// engine threads (reactor pool or per-stream reader/writer pairs),
-    /// pre-verify stages, the fault delay line, and the RPC accept threads.
-    /// Transient per-client RPC connection threads are excluded — they are
-    /// bounded by the listener's accept pool, not by cluster size.
-    ///
-    /// This is the number behind the O(n) scaling claim: on the reactor
-    /// engine a fault-free, ingress-free cluster counts exactly
-    /// `n + reactor_threads`, versus `n + 2n(n−1)` on the legacy engine.
-    pub fn thread_count(&self) -> usize {
-        self.node_handles.len()
-            + self.io_handles.len()
-            + self.reactor.as_ref().map_or(0, |r| r.thread_count())
-            + usize::from(self.delay.is_some())
-            + self.rpc.as_ref().map_or(0, |rpc| rpc.accept_threads())
-    }
-
-    /// Stops all threads, closes every socket, and returns the final
-    /// per-node deliveries.
-    pub fn shutdown(mut self) -> Vec<Vec<Delivery>> {
-        // Client listeners close first: no new submissions enter a cluster
-        // that is tearing down. Dropping the pooled client connections
-        // unblocks their server-side threads immediately.
-        self.rpc_clients.lock().expect("rpc client pool").clear();
-        if let Some(rpc) = self.rpc.take() {
-            rpc.shutdown();
-        }
-        self.core.signal_shutdown();
-        // Joining the protocol threads drops their egress channels, which
-        // lets idle writer threads finish; the delay line goes next (it
-        // holds writer senders too); shutting the sockets down then
-        // unblocks any reader or writer parked in a syscall and fails the
-        // reactor's pending state machines, so the pool drains and exits.
-        for h in self.node_handles {
-            let _ = h.join();
-        }
-        if let Some(delay) = self.delay {
-            delay.stop();
-        }
-        for stream in &self.streams {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        if let Some(reactor) = self.reactor.take() {
-            reactor.stop_and_join();
-        }
-        for h in self.io_handles {
-            let _ = h.join();
-        }
-        self.core.take_deliveries()
-    }
 }
 
-impl<M> RealtimeCluster for TcpCluster<M>
-where
-    M: WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-{
-    fn submit(&self, node: NodeId, tx: Transaction) {
-        TcpCluster::submit(self, node, tx);
+/// Binds one listener per node and dials the static full mesh: node `i`
+/// dials node `j` for `i < j`, opening with a hello frame the acceptor
+/// validates (WIRE_FORMAT.md §3.1). `mesh[i][j]` is the stream node `i` uses
+/// to exchange frames with node `j`.
+fn dial_mesh(n: usize) -> io::Result<Vec<Vec<Option<TcpStream>>>> {
+    let mut listeners = Vec::with_capacity(n);
+    let mut addrs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        addrs.push(listener.local_addr()?);
+        listeners.push(listener);
     }
-    fn crash(&self, node: NodeId) {
-        TcpCluster::crash(self, node);
+    // Index loops, not iterators: each pass fills both mesh[i][j] and
+    // mesh[j][i].
+    let mut mesh: Vec<Vec<Option<TcpStream>>> =
+        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let mut dialed = TcpStream::connect(addrs[j])?;
+            dialed.set_nodelay(true)?;
+            write_frame(&mut dialed, &NodeId(i as u32).encode())?;
+            let (mut accepted, _) = listeners[j].accept()?;
+            accepted.set_nodelay(true)?;
+            let hello = read_frame(&mut accepted)?.ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before hello")
+            })?;
+            let peer = NodeId::decode(&hello)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if peer != NodeId(i as u32) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("hello claims {peer}, expected p{i}"),
+                ));
+            }
+            mesh[i][j] = Some(dialed);
+            mesh[j][i] = Some(accepted);
+        }
     }
-    fn pause(&self, node: NodeId) {
-        TcpCluster::pause(self, node);
-    }
-    fn resume(&self, node: NodeId) {
-        TcpCluster::resume(self, node);
-    }
-    fn kill(&self, node: NodeId) {
-        TcpCluster::kill(self, node);
-    }
-    fn restart(&self, node: NodeId) {
-        TcpCluster::restart(self, node);
-    }
-    fn node_status(&self, node: NodeId) -> crate::NodeStatus {
-        TcpCluster::node_status(self, node)
-    }
-    fn thread_count(&self) -> usize {
-        TcpCluster::thread_count(self)
-    }
-    fn rpc(
-        &self,
-        node: NodeId,
-        msg: &fireledger_types::rpc::RpcMsg,
-    ) -> Option<fireledger_types::rpc::RpcMsg> {
-        TcpCluster::rpc_call(self, node, msg)
-    }
-    fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
-        TcpCluster::deliveries(self, node)
-    }
-    fn delivery_times(&self, node: NodeId) -> Vec<Duration> {
-        TcpCluster::delivery_times(self, node)
-    }
-    fn start(&self) -> std::time::Instant {
-        TcpCluster::start(self)
-    }
-    fn shutdown(self) -> Vec<Vec<Delivery>> {
-        TcpCluster::shutdown(self)
-    }
+    Ok(mesh)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireledger_types::{Outbox, Round, TimerId, WorkerId};
+    use fireledger_types::{Delivery, Outbox, Round, TimerId, Transaction, WorkerId};
     use std::time::Duration;
+
+    fn spawn<P>(nodes: Vec<P>, faults: Option<FaultPlan>) -> RealtimeCluster<u64>
+    where
+        P: Protocol<Msg = u64> + Send + 'static,
+    {
+        RealtimeCluster::spawn_engine(nodes, faults, None, None, &[], TcpEngine)
+            .expect("mesh setup")
+    }
 
     fn delivery(round: u64, proposer: NodeId) -> Delivery {
         Delivery {
@@ -810,8 +364,9 @@ mod tests {
     #[test]
     fn tcp_cluster_routes_messages_and_timers_over_sockets() {
         let nodes: Vec<Echo> = (0..4).map(|i| Echo { me: NodeId(i) }).collect();
-        let cluster = TcpCluster::spawn(nodes).expect("mesh setup");
-        assert_eq!(cluster.len(), 4);
+        let cluster = spawn(nodes, None);
+        // O(n) threads: the node loops plus the fixed reactor pool.
+        assert_eq!(cluster.thread_count(), 4 + DEFAULT_REACTOR_THREADS);
         std::thread::sleep(Duration::from_millis(120));
         let deliveries = cluster.shutdown();
         for (i, delivered) in deliveries.iter().enumerate().skip(1) {
@@ -850,7 +405,7 @@ mod tests {
             fn on_timer(&mut self, _t: TimerId, _o: &mut Outbox<u64>) {}
         }
         let nodes: Vec<Ack> = (0..4).map(|i| Ack { me: NodeId(i) }).collect();
-        let cluster = TcpCluster::spawn(nodes).expect("mesh setup");
+        let cluster = spawn(nodes, None);
         std::thread::sleep(Duration::from_millis(120));
         let deliveries = cluster.shutdown();
         let acks: std::collections::HashSet<u64> =
@@ -877,7 +432,7 @@ mod tests {
             }
         }
         let nodes: Vec<TxDeliver> = (0..4).map(|i| TxDeliver { me: NodeId(i) }).collect();
-        let cluster = TcpCluster::spawn(nodes).expect("mesh setup");
+        let cluster = spawn(nodes, None);
         cluster.crash(NodeId(3));
         for seq in 0..50 {
             cluster.submit(NodeId(3), Transaction::zeroed(1, seq, 4));
@@ -893,14 +448,14 @@ mod tests {
     fn frame_interceptor_drops_and_delays_on_real_sockets() {
         use fireledger_types::{FaultPlan, FaultWindow, LinkSelector};
         // Drop everything node 0 sends; everyone else communicates freely —
-        // asserted over real sockets, after the codec, before the writers.
+        // asserted over real sockets, after the codec, before the outboxes.
         let nodes: Vec<Echo> = (0..3).map(|i| Echo { me: NodeId(i) }).collect();
         let plan = FaultPlan::named("mute-0").drop(
             LinkSelector::From(NodeId(0)),
             FaultWindow::ALWAYS,
             1.0,
         );
-        let cluster = TcpCluster::spawn_with_faults(nodes, Some(plan)).expect("mesh setup");
+        let cluster = spawn(nodes, Some(plan));
         std::thread::sleep(Duration::from_millis(100));
         let deliveries = cluster.shutdown();
         for (i, delivered) in deliveries.iter().enumerate().skip(1) {
@@ -912,7 +467,7 @@ mod tests {
         }
 
         // A pure delay still delivers — late, and through the delay line's
-        // writer re-injection path.
+        // outbox re-injection path.
         let nodes: Vec<Echo> = (0..3).map(|i| Echo { me: NodeId(i) }).collect();
         let plan = FaultPlan::named("slow").delay(
             LinkSelector::All,
@@ -920,7 +475,7 @@ mod tests {
             Duration::from_millis(25),
             Duration::from_millis(35),
         );
-        let cluster = TcpCluster::spawn_with_faults(nodes, Some(plan)).expect("mesh setup");
+        let cluster = spawn(nodes, Some(plan));
         std::thread::sleep(Duration::from_millis(150));
         let times = cluster.delivery_times(NodeId(1));
         let deliveries = cluster.shutdown();
@@ -932,34 +487,6 @@ mod tests {
                 .is_some_and(|t| *t >= Duration::from_millis(25)),
             "delivery beat the injected delay: {times:?}"
         );
-    }
-
-    #[test]
-    fn legacy_engine_matches_reactor_and_costs_quadratic_threads() {
-        // Same smoke protocol on both engines; the reactor must not change
-        // what arrives, only how many threads carry it.
-        let mut counts = Vec::new();
-        for engine in [TcpEngine::ThreadPerPeer, TcpEngine::default()] {
-            let nodes: Vec<Echo> = (0..4).map(|i| Echo { me: NodeId(i) }).collect();
-            let cluster =
-                TcpCluster::spawn_engine(nodes, None, None, None, &[], engine).expect("mesh setup");
-            std::thread::sleep(Duration::from_millis(120));
-            counts.push(cluster.thread_count());
-            let deliveries = cluster.shutdown();
-            for (i, delivered) in deliveries.iter().enumerate().skip(1) {
-                let rounds: Vec<u64> = delivered.iter().map(|d| d.round.0).collect();
-                assert!(
-                    rounds.contains(&7) && rounds.contains(&8),
-                    "{} engine: node {i} missed traffic: {rounds:?}",
-                    engine.label()
-                );
-            }
-        }
-        // n=4: the legacy engine runs 4 node threads plus a reader and a
-        // writer per directed link (2·4·3 = 24); the reactor replaces those
-        // 24 with its fixed pool.
-        assert_eq!(counts[0], 4 + 24);
-        assert_eq!(counts[1], 4 + crate::reactor::DEFAULT_REACTOR_THREADS);
     }
 
     #[test]
@@ -982,7 +509,7 @@ mod tests {
             }
         }
         let nodes: Vec<Chatter> = (0..4).map(|i| Chatter { me: NodeId(i) }).collect();
-        let cluster = TcpCluster::spawn(nodes).expect("mesh setup");
+        let cluster = spawn(nodes, None);
         // Pause node 1: the reactor keeps reading its sockets, but the node
         // loop discards events while paused (dead-node semantics).
         cluster.pause(NodeId(1));
@@ -1012,10 +539,10 @@ mod tests {
 
     #[test]
     fn single_node_cluster_needs_no_sockets() {
-        let cluster = TcpCluster::spawn(vec![Echo { me: NodeId(0) }]).expect("spawn");
-        assert_eq!(cluster.len(), 1);
-        assert!(!cluster.is_empty());
+        let cluster = spawn(vec![Echo { me: NodeId(0) }], None);
+        assert_eq!(cluster.thread_count(), 1, "no reactor without sockets");
         let deliveries = cluster.shutdown();
+        assert_eq!(deliveries.len(), 1);
         assert!(deliveries[0].is_empty());
     }
 }

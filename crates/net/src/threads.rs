@@ -1,22 +1,19 @@
-//! The mpsc-backed threaded runtime: one OS thread per node, in-process
-//! channels for links.
+//! The in-process channel transport: one `mpsc` event queue per node.
 //!
-//! This is the lightest real-time runtime: messages are moved, never
+//! This is the lightest real-time transport: messages are moved, never
 //! serialized, so it isolates the cost of real threads and wall-clock timers
-//! from the cost of a wire format. The TCP runtime ([`crate::TcpCluster`])
-//! shares the same per-node event loop but pushes every message through the
-//! binary codec and a real socket.
+//! from the cost of a wire format. The socket transport
+//! ([`RealtimeCluster::spawn_engine`]) runs the same per-node event loop but
+//! pushes every message through the binary codec and a real socket.
 
-use crate::node_loop::{
-    run_node, spawn_preverify_stages, ClusterCore, Egress, NodeEvent, PreVerify,
-};
+use crate::cluster::{Transport, Wiring};
+use crate::node_loop::{Egress, NodeEvent, PreVerify, Rebuild};
 use crate::shim::{DelayLine, LinkShim};
 use crate::RealtimeCluster;
-use fireledger_types::{Delivery, FaultPlan, LinkDecision, NodeId, Protocol, Transaction};
+use fireledger_types::{FaultPlan, LinkDecision, NodeId, Protocol};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Routes a node's outbound messages to its peers' in-process channels.
 struct MpscEgress<M> {
@@ -118,313 +115,82 @@ impl<M: Clone> Egress<M> for ShimmedMpscEgress<M> {
     }
 }
 
-/// A running threaded cluster.
-pub struct ThreadedCluster<M> {
-    core: ClusterCore<M>,
-    handles: Vec<JoinHandle<()>>,
-    delay: Option<DelayLine<NodeEvent<M>>>,
-    /// Ingress handler installed by [`ThreadedCluster::attach_rpc`]; the
-    /// channel-backed analogue of the TCP runtime's client listeners.
-    rpc: Option<Arc<dyn crate::rpc::RpcHandler>>,
-}
-
-impl<M> ThreadedCluster<M>
+impl<M> RealtimeCluster<M>
 where
-    M: Clone + Send + Sync + std::fmt::Debug + 'static,
+    M: Clone + Send + Sync + 'static,
 {
-    /// Spawns one thread per node and starts the protocol, fault-free.
-    pub fn spawn<P>(nodes: Vec<P>) -> Self
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_with_faults(nodes, None)
-    }
-
-    /// Spawns the cluster with an optional [`FaultPlan`] compiled into a
-    /// link shim on every node's egress (drop/delay/reorder/duplicate and
-    /// partitions; node faults are driven by the caller through
-    /// [`ThreadedCluster::pause`] / [`ThreadedCluster::resume`] /
-    /// [`ThreadedCluster::crash`]). The plan's time offsets are measured
-    /// from this call.
-    pub fn spawn_with_faults<P>(nodes: Vec<P>, faults: Option<FaultPlan>) -> Self
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_full(nodes, faults, None)
-    }
-
-    /// Spawns the cluster with an optional fault plan and an optional
-    /// [`PreVerify`] hook. With a hook, every node gets a pre-verify stage
-    /// thread between its ingress channel and its event loop: inbound
-    /// messages are batch-verified (and shared broadcasts materialized)
-    /// off-loop, so the consensus loop consumes already-validated
-    /// messages. The stage preserves per-sender FIFO order — it forwards
-    /// the single ingress stream in order.
-    pub fn spawn_full<P>(
+    /// Spawns one thread per node on in-process channels and starts the
+    /// protocol.
+    ///
+    /// * `faults` — an optional [`FaultPlan`] compiled into a link shim on
+    ///   every node's egress (drop/delay/reorder/duplicate and partitions;
+    ///   node faults are driven by the caller through
+    ///   [`RealtimeCluster::pause`] / [`RealtimeCluster::resume`] /
+    ///   [`RealtimeCluster::crash`]). Its time offsets are measured from
+    ///   this call.
+    /// * `pre_verify` — an optional [`PreVerify`] hook: every node gets a
+    ///   stage thread between its ingress channel and its event loop that
+    ///   batch-verifies inbound messages (and materializes shared
+    ///   broadcasts) off-loop, preserving per-sender FIFO order.
+    /// * `rebuild` — after [`RealtimeCluster::kill`],
+    ///   [`RealtimeCluster::restart`] invokes it to reconstruct the node,
+    ///   typically from its durable store, on the same thread and channels.
+    /// * `dormant` — nodes spawned with their state machine dropped before
+    ///   it ever starts (late join): a later restart rebuilds them mid-run
+    ///   and they catch up through state sync.
+    pub fn spawn_channels<P>(
         nodes: Vec<P>,
         faults: Option<FaultPlan>,
-        pre_verify: Option<std::sync::Arc<dyn PreVerify<M>>>,
-    ) -> Self
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_durable(nodes, faults, pre_verify, None)
-    }
-
-    /// Like [`ThreadedCluster::spawn_full`], additionally installing a
-    /// rebuild hook: after [`ThreadedCluster::kill`] destroys a node's
-    /// protocol state, [`ThreadedCluster::restart`] invokes the hook to
-    /// reconstruct the node — typically from its durable store — and
-    /// re-enters it into the cluster on the same thread and channels.
-    pub fn spawn_durable<P>(
-        nodes: Vec<P>,
-        faults: Option<FaultPlan>,
-        pre_verify: Option<std::sync::Arc<dyn PreVerify<M>>>,
-        rebuild: Option<Arc<dyn Fn(NodeId) -> P + Send + Sync>>,
-    ) -> Self
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-    {
-        Self::spawn_cluster(nodes, faults, pre_verify, rebuild, &[])
-    }
-
-    /// The full spawn: like [`ThreadedCluster::spawn_durable`], with some
-    /// nodes additionally spawned **dormant** (late join): a dormant node's
-    /// thread and channels come up with everyone else's, but its protocol
-    /// state machine is dropped before it ever starts — no `on_start`, no
-    /// traffic, its durable store (if any) closed. A later
-    /// [`ThreadedCluster::restart`] rebuilds it through the rebuild hook,
-    /// which is how a node enters the cluster mid-run and catches up
-    /// through state sync.
-    pub fn spawn_cluster<P>(
-        nodes: Vec<P>,
-        faults: Option<FaultPlan>,
-        pre_verify: Option<std::sync::Arc<dyn PreVerify<M>>>,
-        rebuild: Option<Arc<dyn Fn(NodeId) -> P + Send + Sync>>,
+        pre_verify: Option<Arc<dyn PreVerify<M>>>,
+        rebuild: Option<Rebuild<P>>,
         dormant: &[NodeId],
     ) -> Self
     where
         P: Protocol<Msg = M> + Send + 'static,
     {
-        let (core, mut receivers) = ClusterCore::new(nodes.len());
-        for node in dormant {
-            core.set_dormant(*node);
-        }
-        let mut stage_handles = Vec::new();
-        if let Some(pv) = &pre_verify {
-            let (staged, spawned) = spawn_preverify_stages(receivers, pv);
-            receivers = staged;
-            stage_handles = spawned;
-        }
-        let delay = faults
-            .as_ref()
-            .map(|_| DelayLine::new(core.evt_senders.iter().cloned().map(Some).collect()));
-        let start = core.log.start();
-        let mut handles = Vec::with_capacity(nodes.len());
-        for (i, (node, rx)) in nodes.into_iter().zip(receivers).enumerate() {
-            let me = NodeId(i as u32);
-            let log = core.log.clone();
-            let flags = core.flags();
-            let rebuild = rebuild.clone();
-            let peers = core.evt_senders.clone();
-            match &faults {
-                None => {
-                    let mut egress = MpscEgress { me, peers };
-                    handles.push(std::thread::spawn(move || {
-                        run_node(node, me, rx, &mut egress, log, flags, rebuild);
-                    }));
-                }
-                Some(plan) => {
-                    let mut egress = ShimmedMpscEgress {
-                        me,
-                        peers,
+        let n = nodes.len();
+        let wiring = Wiring::new(n, pre_verify.as_ref(), dormant);
+        let peers = &wiring.evt_senders;
+        let transport = |delay| Transport::Channels { delay, rpc: None };
+        match faults {
+            None => {
+                let egresses = (0..n)
+                    .map(|i| MpscEgress {
+                        me: NodeId(i as u32),
+                        peers: peers.clone(),
+                    })
+                    .collect();
+                wiring.launch(nodes, egresses, rebuild, transport(None))
+            }
+            Some(plan) => {
+                let delay = DelayLine::new(peers.iter().cloned().map(Some).collect());
+                let start = wiring.log.start();
+                let egresses = (0..n)
+                    .map(|i| ShimmedMpscEgress {
+                        me: NodeId(i as u32),
+                        peers: peers.clone(),
                         shim: LinkShim::new(plan.clone(), start),
-                        delay: delay.as_ref().expect("delay line exists").sender(),
-                    };
-                    handles.push(std::thread::spawn(move || {
-                        run_node(node, me, rx, &mut egress, log, flags, rebuild);
-                    }));
-                }
+                        delay: delay.sender(),
+                    })
+                    .collect();
+                wiring.launch(nodes, egresses, rebuild, transport(Some(delay)))
             }
         }
-        handles.extend(stage_handles);
-        ThreadedCluster {
-            core,
-            handles,
-            delay,
-            rpc: None,
-        }
-    }
-
-    /// Installs the ingress handler — the channel-backed equivalent of
-    /// [`crate::TcpCluster::serve_rpc`]: clients call
-    /// [`ThreadedCluster::rpc_call`] instead of dialing a socket, and an
-    /// accepted submission enters the node through the same event channel
-    /// as [`ThreadedCluster::submit`].
-    pub fn attach_rpc(&mut self, handler: Arc<dyn crate::rpc::RpcHandler>) {
-        self.rpc = Some(handler);
-    }
-
-    /// Serves one client RPC against `node` through the attached handler.
-    /// Returns `None` when no handler is attached.
-    pub fn rpc_call(
-        &self,
-        node: NodeId,
-        msg: &fireledger_types::rpc::RpcMsg,
-    ) -> Option<fireledger_types::rpc::RpcMsg> {
-        let handler = self.rpc.as_ref()?;
-        let (reply, tx) = handler.handle(node, msg);
-        if let Some(tx) = tx {
-            self.core.submit(node, tx);
-        }
-        Some(reply)
-    }
-
-    /// `node`'s availability as mirrored by its own event loop.
-    pub fn node_status(&self, node: NodeId) -> crate::NodeStatus {
-        crate::NodeStatus::from_u8(self.core.status(node))
-    }
-
-    /// Threads this cluster is running: one per node, plus any pre-verify
-    /// stage threads (no socket engine — links are in-process channels).
-    pub fn thread_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Submits a client transaction to `node`.
-    pub fn submit(&self, node: NodeId, tx: Transaction) {
-        self.core.submit(node, tx);
-    }
-
-    /// Crashes `node`: a flag the node's thread checks before every event
-    /// makes it stop promptly — it does not drain its message backlog first —
-    /// and its peers' subsequent sends to it disappear (a benign crash fault,
-    /// the shape of the paper's §7.4.1 experiment). The thread notices the
-    /// flag within its timer poll interval (≤ ~10 ms). Idempotent.
-    pub fn crash(&self, node: NodeId) {
-        self.core.crash(node);
-    }
-
-    /// Pauses `node` (the crash half of a crash-recover fault): its thread
-    /// discards events and expires timers silently until
-    /// [`ThreadedCluster::resume`]. Protocol state is kept.
-    pub fn pause(&self, node: NodeId) {
-        self.core.pause(node);
-    }
-
-    /// Resumes a paused `node`.
-    pub fn resume(&self, node: NodeId) {
-        self.core.resume(node);
-    }
-
-    /// Kills `node`: its protocol state machine is dropped outright —
-    /// in-memory state destroyed, durable store closed, delivery log
-    /// cleared — while the thread and channels stay up to host a possible
-    /// restart. Harsher than [`ThreadedCluster::pause`], which keeps state.
-    pub fn kill(&self, node: NodeId) {
-        self.core.kill(node);
-    }
-
-    /// Restarts a killed `node` through the rebuild hook installed by
-    /// [`ThreadedCluster::spawn_durable`] (ignored without one): the node
-    /// is reconstructed from its durable store and rejoins the cluster.
-    pub fn restart(&self, node: NodeId) {
-        self.core.restart(node);
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// True when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.core.len() == 0
-    }
-
-    /// Blocks delivered so far at `node` (a snapshot).
-    pub fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
-        self.core.deliveries(node)
-    }
-
-    /// Wall-clock offsets (from cluster start) of `node`'s deliveries.
-    pub fn delivery_times(&self, node: NodeId) -> Vec<Duration> {
-        self.core.delivery_times(node)
-    }
-
-    /// The instant the cluster's clock started (the zero point of
-    /// [`ThreadedCluster::delivery_times`]).
-    pub fn start(&self) -> std::time::Instant {
-        self.core.log.start()
-    }
-
-    /// Stops all node threads and returns the final per-node deliveries.
-    pub fn shutdown(self) -> Vec<Vec<Delivery>> {
-        self.core.signal_shutdown();
-        for h in self.handles {
-            let _ = h.join();
-        }
-        if let Some(delay) = self.delay {
-            delay.stop();
-        }
-        self.core.take_deliveries()
-    }
-}
-
-impl<M> RealtimeCluster for ThreadedCluster<M>
-where
-    M: Clone + Send + Sync + std::fmt::Debug + 'static,
-{
-    fn submit(&self, node: NodeId, tx: Transaction) {
-        ThreadedCluster::submit(self, node, tx);
-    }
-    fn crash(&self, node: NodeId) {
-        ThreadedCluster::crash(self, node);
-    }
-    fn pause(&self, node: NodeId) {
-        ThreadedCluster::pause(self, node);
-    }
-    fn resume(&self, node: NodeId) {
-        ThreadedCluster::resume(self, node);
-    }
-    fn kill(&self, node: NodeId) {
-        ThreadedCluster::kill(self, node);
-    }
-    fn restart(&self, node: NodeId) {
-        ThreadedCluster::restart(self, node);
-    }
-    fn node_status(&self, node: NodeId) -> crate::NodeStatus {
-        ThreadedCluster::node_status(self, node)
-    }
-    fn thread_count(&self) -> usize {
-        ThreadedCluster::thread_count(self)
-    }
-    fn rpc(
-        &self,
-        node: NodeId,
-        msg: &fireledger_types::rpc::RpcMsg,
-    ) -> Option<fireledger_types::rpc::RpcMsg> {
-        ThreadedCluster::rpc_call(self, node, msg)
-    }
-    fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
-        ThreadedCluster::deliveries(self, node)
-    }
-    fn delivery_times(&self, node: NodeId) -> Vec<Duration> {
-        ThreadedCluster::delivery_times(self, node)
-    }
-    fn start(&self) -> std::time::Instant {
-        ThreadedCluster::start(self)
-    }
-    fn shutdown(self) -> Vec<Vec<Delivery>> {
-        ThreadedCluster::shutdown(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireledger_types::{Outbox, Round, TimerId};
+    use fireledger_types::{Delivery, Outbox, Round, TimerId, Transaction};
     use std::time::Duration;
+
+    fn spawn<P>(nodes: Vec<P>, faults: Option<FaultPlan>) -> RealtimeCluster<u64>
+    where
+        P: Protocol<Msg = u64> + Send + 'static,
+    {
+        RealtimeCluster::spawn_channels(nodes, faults, None, None, &[])
+    }
 
     /// A trivial protocol: node 0 broadcasts a counter on start; everyone
     /// delivers what it receives. Exercises the runtime plumbing without
@@ -478,7 +244,7 @@ mod tests {
                 n: 4,
             })
             .collect();
-        let cluster = ThreadedCluster::spawn(nodes);
+        let cluster = spawn(nodes, None);
         std::thread::sleep(Duration::from_millis(80));
         let deliveries = cluster.shutdown();
         for (i, delivered) in deliveries.iter().enumerate().skip(1) {
@@ -549,7 +315,8 @@ mod tests {
         }
 
         let nodes: Vec<Burst> = (0..3).map(|i| Burst { me: NodeId(i) }).collect();
-        let cluster = ThreadedCluster::spawn_full(nodes, None, Some(Arc::new(DropOdd)));
+        let cluster =
+            RealtimeCluster::spawn_channels(nodes, None, Some(Arc::new(DropOdd)), None, &[]);
         std::thread::sleep(Duration::from_millis(80));
         let deliveries = cluster.shutdown();
         for (i, delivered) in deliveries.iter().enumerate().skip(1) {
@@ -580,7 +347,7 @@ mod tests {
             }
         }
         let nodes: Vec<TxEcho> = (0..2).map(|i| TxEcho { me: NodeId(i) }).collect();
-        let cluster = ThreadedCluster::spawn(nodes);
+        let cluster = spawn(nodes, None);
         cluster.submit(NodeId(0), Transaction::zeroed(1, 42, 4));
         std::thread::sleep(Duration::from_millis(50));
         // No panic and clean shutdown is the contract here.
@@ -597,7 +364,7 @@ mod tests {
             })
             .collect();
         let plan = FaultPlan::named("blackout").drop(LinkSelector::All, FaultWindow::ALWAYS, 1.0);
-        let cluster = ThreadedCluster::spawn_with_faults(nodes, Some(plan));
+        let cluster = spawn(nodes, Some(plan));
         std::thread::sleep(Duration::from_millis(60));
         let deliveries = cluster.shutdown();
         for (i, delivered) in deliveries.iter().enumerate() {
@@ -626,7 +393,7 @@ mod tests {
                 FaultWindow::ALWAYS,
                 1.0,
             );
-            let cluster = ThreadedCluster::spawn_with_faults(nodes, Some(plan));
+            let cluster = spawn(nodes, Some(plan));
             std::thread::sleep(Duration::from_millis(60));
             let deliveries = cluster.shutdown();
             let got_any = deliveries.iter().any(|d| !d.is_empty());
@@ -680,7 +447,7 @@ mod tests {
         }
         let nodes: Vec<SelfLoop> = (0..2).map(|i| SelfLoop { me: NodeId(i) }).collect();
         let plan = FaultPlan::named("blackout").drop(LinkSelector::All, FaultWindow::ALWAYS, 1.0);
-        let cluster = ThreadedCluster::spawn_with_faults(nodes, Some(plan));
+        let cluster = spawn(nodes, Some(plan));
         cluster.submit(NodeId(0), Transaction::zeroed(1, 9, 4));
         std::thread::sleep(Duration::from_millis(60));
         let deliveries = cluster.shutdown();
@@ -707,7 +474,7 @@ mod tests {
             Duration::from_millis(30),
             Duration::from_millis(40),
         );
-        let cluster = ThreadedCluster::spawn_with_faults(nodes, Some(plan));
+        let cluster = spawn(nodes, Some(plan));
         // Before the delay elapses nothing can have arrived.
         std::thread::sleep(Duration::from_millis(10));
         for i in 1..4 {
@@ -749,7 +516,7 @@ mod tests {
             Duration::from_millis(5),
             Duration::from_millis(10),
         );
-        let cluster = ThreadedCluster::spawn_with_faults(nodes, Some(plan));
+        let cluster = spawn(nodes, Some(plan));
         std::thread::sleep(Duration::from_millis(80));
         let deliveries = cluster.shutdown();
         let round7 = deliveries[1].iter().filter(|d| d.round.0 == 7).count();
@@ -793,7 +560,7 @@ mod tests {
             }
         }
         let nodes: Vec<TxDeliver> = (0..2).map(|i| TxDeliver { me: NodeId(i) }).collect();
-        let cluster = ThreadedCluster::spawn(nodes);
+        let cluster = spawn(nodes, None);
         cluster.submit(NodeId(0), Transaction::zeroed(1, 1, 4));
         std::thread::sleep(Duration::from_millis(40));
         cluster.pause(NodeId(0));
@@ -851,7 +618,7 @@ mod tests {
             }
         }
         let nodes: Vec<TxDeliver> = (0..2).map(|i| TxDeliver { me: NodeId(i) }).collect();
-        let cluster = ThreadedCluster::spawn(nodes);
+        let cluster = spawn(nodes, None);
         cluster.crash(NodeId(1));
         // A backlog submitted after the crash: none of it may be processed.
         for seq in 0..100 {

@@ -359,7 +359,6 @@ pub struct ClusterBuilder<P> {
     store: Option<(PathBuf, FsyncPolicy)>,
     late_join: Option<(NodeId, u64)>,
     exec: Option<ExecConfig>,
-    tcp_engine: fireledger_net::TcpEngine,
     /// Per-node execution shards (one per worker stream), created lazily
     /// once per builder and shared by `build`, the rebuild hook and the
     /// report assembly — so a node rebuilt after a kill keeps its pre-kill
@@ -389,33 +388,16 @@ where
             store: None,
             late_join: None,
             exec: None,
-            tcp_engine: fireledger_net::TcpEngine::default(),
             exec_shards: std::sync::OnceLock::new(),
             _protocol: PhantomData,
         }
     }
 
-    /// Sets the TCP runtime's reactor-pool size: `k` nonblocking reactor
-    /// threads multiplex the whole socket mesh (`k = 0` selects the
-    /// documented default, [`fireledger_net::DEFAULT_REACTOR_THREADS`]).
-    /// Only the `Tcp` runtime reads this — the simulator has no sockets and
-    /// the threaded runtime's links are in-process channels.
-    pub fn reactor_threads(mut self, k: usize) -> Self {
-        self.tcp_engine = fireledger_net::TcpEngine::Reactor { threads: k };
-        self
-    }
-
-    /// Pins the TCP runtime's socket engine explicitly — the escape hatch
-    /// the before/after scaling benchmarks use to run the legacy
-    /// thread-per-peer engine. Prefer [`ClusterBuilder::reactor_threads`].
-    pub fn with_tcp_engine(mut self, engine: fireledger_net::TcpEngine) -> Self {
-        self.tcp_engine = engine;
-        self
-    }
-
-    /// The socket engine the TCP runtime will spawn.
+    /// The socket engine the TCP runtime spawns — vestigial (see
+    /// [`fireledger_net::TcpEngine`]): kept because the repo benchmark
+    /// passes it to `TcpCluster::spawn_engine`.
     pub fn tcp_engine(&self) -> fireledger_net::TcpEngine {
-        self.tcp_engine
+        fireledger_net::TcpEngine
     }
 
     /// Enables the pipelined execution engine (deterministic account/KV

@@ -220,12 +220,8 @@ impl DetRng {
 }
 
 /// One admission gate per node behind a single [`RpcHandler`]: the piece a
-/// runtime plugs its client listeners into ([`TcpCluster::serve_rpc`] /
-/// [`ThreadedCluster::attach_rpc`]), and the driver mirrors availability
-/// into.
-///
-/// [`TcpCluster::serve_rpc`]: fireledger_net::TcpCluster::serve_rpc
-/// [`ThreadedCluster::attach_rpc`]: fireledger_net::ThreadedCluster::attach_rpc
+/// runtime plugs its client front end into ([`RealtimeCluster::serve_rpc`]),
+/// and the driver mirrors availability into.
 #[derive(Debug)]
 pub struct ClusterIngress {
     gates: Vec<Arc<IngressGate>>,
@@ -311,7 +307,7 @@ pub(crate) fn planned_down(windows: &[(usize, u64, u64)], node: usize, now_nanos
 /// is stepped (every ~2 ms) by `drive_realtime`'s wait loops. Each step
 /// mirrors availability into the gates — worst of the *planned* downtime
 /// window and the node's own live status — serves every due client through
-/// [`RealtimeCluster::rpc`], and feeds newly observed deliveries back into
+/// [`RealtimeCluster::rpc_call`], and feeds newly observed deliveries back into
 /// the commit accounting.
 pub(crate) struct IngressDrive {
     ci: Arc<ClusterIngress>,
@@ -339,7 +335,10 @@ impl IngressDrive {
         }
     }
 
-    pub(crate) fn step<C: RealtimeCluster>(&mut self, running: &C, now: Duration) {
+    pub(crate) fn step<M>(&mut self, running: &RealtimeCluster<M>, now: Duration)
+    where
+        M: Send + Sync + 'static,
+    {
         let now_nanos = now.as_nanos() as u64;
         for node in 0..self.cursors.len() {
             let planned = planned_down(&self.windows, node, now_nanos);
@@ -352,7 +351,7 @@ impl IngressDrive {
             self.ci.set_availability(node, a);
         }
         self.fleet.poll(now_nanos, &mut |node, msg| {
-            running.rpc(NodeId(node as u32), msg)
+            running.rpc_call(NodeId(node as u32), msg)
         });
         for (i, cursor) in self.cursors.iter_mut().enumerate() {
             let ds = running.deliveries(NodeId(i as u32));

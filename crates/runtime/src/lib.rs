@@ -55,7 +55,7 @@ mod run;
 mod scenario;
 
 pub use builder::{BuildContext, ClusterBuilder, ClusterProtocol, FloCluster, NodeRole};
-pub use fireledger_net::{TcpEngine, DEFAULT_REACTOR_THREADS};
+pub use fireledger_net::DEFAULT_REACTOR_THREADS;
 pub use ingress::{ClientFleet, ClusterIngress, IngressLoad, PayloadKind};
 pub use preverify::FloPreVerifier;
 pub use report::{ExecutionReport, IngressLaneReport, IngressReport, NodeDeliveries, RunReport};
@@ -68,8 +68,8 @@ pub mod prelude {
     pub use crate::{
         check_delivery_prefixes, CatchUp, ClusterBuilder, ClusterProtocol, ExecutionReport,
         FaultEvent, FloCluster, IngressLaneReport, IngressLoad, IngressReport, NodeDeliveries,
-        NodeRole, PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, TcpEngine, Threads,
-        Topology, Workload, DEFAULT_REACTOR_THREADS,
+        NodeRole, PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, Threads, Topology,
+        Workload, DEFAULT_REACTOR_THREADS,
     };
     pub use fireledger::{AcceptAll, ClusterNode, FloNode, Worker};
     pub use fireledger_baselines::{BftSmartNode, HotStuffNode, PbftNode};

@@ -25,10 +25,10 @@ use crate::ingress::{
 use crate::report::{ExecutionReport, NodeDeliveries, RunReport};
 use crate::scenario::Scenario;
 use fireledger::Availability;
-use fireledger_net::{RealtimeCluster, TcpCluster, ThreadedCluster};
+use fireledger_net::RealtimeCluster;
 use fireledger_sim::{Adversary, LateJoinAdversary, PlanAdversary, SimTime, Simulation};
 use fireledger_types::{
-    Delivery, DiskFault, Error, NodeId, Result, Transaction, WireCodec, WireSize,
+    Delivery, DiskFault, Error, FaultPlan, NodeId, Result, Transaction, WireCodec, WireSize,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -245,6 +245,45 @@ where
         .map(|(node, _)| node)
         .into_iter()
         .collect()
+}
+
+/// Spawns `nodes` on a real-time transport — the socket mesh when
+/// `sockets`, in-process channels otherwise — with the builder's pre-verify
+/// stage, rebuild hook and dormant late joiner.
+fn spawn_realtime<P>(
+    cluster: &ClusterBuilder<P>,
+    mut nodes: Vec<P>,
+    faults: Option<FaultPlan>,
+    sockets: bool,
+) -> Result<RealtimeCluster<P::Msg>>
+where
+    P: ClusterProtocol,
+    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
+{
+    // With the parallel crypto pipeline enabled, install the protocol's
+    // pre-verify stage so inbound messages are validated off-loop, and
+    // tell the nodes their ingress is pre-verified.
+    let pre_verify = cluster.pre_verifier();
+    if pre_verify.is_some() {
+        P::enable_preverified_ingress(&mut nodes);
+    }
+    let rebuild = Some(realtime_rebuilder(cluster));
+    let dormant = dormant_nodes(cluster);
+    if sockets {
+        RealtimeCluster::spawn_engine(
+            nodes,
+            faults,
+            pre_verify,
+            rebuild,
+            &dormant,
+            cluster.tcp_engine(),
+        )
+        .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))
+    } else {
+        Ok(RealtimeCluster::spawn_channels(
+            nodes, faults, pre_verify, rebuild, &dormant,
+        ))
+    }
 }
 
 /// Per-node counters plus the delivery-timeline (stall/recovery) metrics.
@@ -547,12 +586,12 @@ enum TimelineEvent {
 /// Drives an already-spawned real-time cluster through the scenario's
 /// timeline (crashes, crash-recover pauses and injections at wall-clock
 /// offsets), honours the warm-up window, and assembles the report. Shared
-/// by [`Threads`] and [`Tcp`] — the two differ only in how the cluster was
-/// spawned. Link faults and partitions are *not* driven from here: they
-/// were compiled into the cluster's link shim at spawn time; this timeline
-/// carries only the node-level events.
-fn drive_realtime<P, C>(
-    running: C,
+/// by [`Threads`] and [`Tcp`] — the two differ only in the transport the
+/// cluster was spawned on. Link faults and partitions are *not* driven from
+/// here: they were compiled into the cluster's link shim at spawn time; this
+/// timeline carries only the node-level events.
+fn drive_realtime<P>(
+    running: RealtimeCluster<P::Msg>,
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
     runtime_name: &str,
@@ -561,13 +600,12 @@ fn drive_realtime<P, C>(
 where
     P: ClusterProtocol,
     P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    C: RealtimeCluster,
 {
     // Sleeping towards a deadline is replaced by short stepped waits when
     // an ingress fleet rides the run: each ~2 ms step serves due clients
     // and feeds observed deliveries back into the commit accounting.
-    fn wait_stepping<C: RealtimeCluster>(
-        running: &C,
+    fn wait_stepping<M: Send + Sync + 'static>(
+        running: &RealtimeCluster<M>,
         start: Instant,
         target: Duration,
         drive: &mut Option<IngressDrive>,
@@ -634,7 +672,7 @@ where
     } else {
         Duration::ZERO
     };
-    let snapshot = |running: &C| -> Vec<(u64, u64)> {
+    let snapshot = |running: &RealtimeCluster<P::Msg>| -> Vec<(u64, u64)> {
         (0..n)
             .map(|i| {
                 let ds = running.deliveries(NodeId(i as u32));
@@ -843,6 +881,41 @@ fn realtime_ingress(scenario: &Scenario, n: usize) -> Option<std::sync::Arc<Clus
         .map(|load| std::sync::Arc::new(ClusterIngress::new(n, load.admission.clone())))
 }
 
+/// The body of [`Threads`] and [`Tcp`]: builds the cluster, spawns it on
+/// the socket mesh when `sockets` (channels otherwise), serves the
+/// scenario's ingress, and drives it to completion.
+fn run_realtime<P>(
+    cluster: &ClusterBuilder<P>,
+    scenario: &Scenario,
+    runtime_name: &str,
+    sockets: bool,
+) -> Result<(RunReport, Vec<Vec<Delivery>>)>
+where
+    P: ClusterProtocol,
+    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
+{
+    validate_fault_budget(cluster, scenario)?;
+    let nodes = cluster.build()?;
+    // With execution enabled, every shard gets a dedicated stage thread so
+    // delivered blocks are executed off the consensus loops. Held until the
+    // run is over (drained and joined on drop).
+    let _exec_stages = cluster.spawn_exec_stages();
+    let mut running = spawn_realtime(cluster, nodes, scenario.faults.clone(), sockets)?;
+    let ingress = realtime_ingress(scenario, cluster.params().n());
+    if let Some(ci) = &ingress {
+        running
+            .serve_rpc(ci.clone())
+            .map_err(|e| Error::Io(format!("rpc listeners: {e}")))?;
+    }
+    Ok(drive_realtime(
+        running,
+        cluster,
+        scenario,
+        runtime_name,
+        ingress,
+    ))
+}
+
 /// The real-time threaded runtime (in-process channels).
 ///
 /// The scenario's duration is wall-clock time here: a 2-second scenario takes
@@ -873,37 +946,7 @@ impl Runtime for Threads {
         P: ClusterProtocol,
         P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
     {
-        validate_fault_budget(cluster, scenario)?;
-        let mut nodes = cluster.build()?;
-        // With the parallel crypto pipeline enabled, install the protocol's
-        // pre-verify stage so inbound messages are validated off-loop, and
-        // tell the nodes their ingress is pre-verified.
-        let pre_verify = cluster.pre_verifier();
-        if pre_verify.is_some() {
-            P::enable_preverified_ingress(&mut nodes);
-        }
-        // With execution enabled, every shard gets a dedicated stage thread
-        // so delivered blocks are executed off the consensus loops. Held
-        // until the run is over (drained and joined on drop).
-        let _exec_stages = cluster.spawn_exec_stages();
-        let mut running = ThreadedCluster::spawn_cluster(
-            nodes,
-            scenario.faults.clone(),
-            pre_verify,
-            Some(realtime_rebuilder(cluster)),
-            &dormant_nodes(cluster),
-        );
-        let ingress = realtime_ingress(scenario, cluster.params().n());
-        if let Some(ci) = &ingress {
-            running.attach_rpc(ci.clone());
-        }
-        Ok(drive_realtime(
-            running,
-            cluster,
-            scenario,
-            self.name(),
-            ingress,
-        ))
+        run_realtime(cluster, scenario, self.name(), false)
     }
 }
 
@@ -932,36 +975,7 @@ impl Runtime for Tcp {
         P: ClusterProtocol,
         P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
     {
-        validate_fault_budget(cluster, scenario)?;
-        let mut nodes = cluster.build()?;
-        let pre_verify = cluster.pre_verifier();
-        if pre_verify.is_some() {
-            P::enable_preverified_ingress(&mut nodes);
-        }
-        // Execution stage threads, as on the threaded runtime.
-        let _exec_stages = cluster.spawn_exec_stages();
-        let mut running = TcpCluster::spawn_engine(
-            nodes,
-            scenario.faults.clone(),
-            pre_verify,
-            Some(realtime_rebuilder(cluster)),
-            &dormant_nodes(cluster),
-            cluster.tcp_engine(),
-        )
-        .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))?;
-        let ingress = realtime_ingress(scenario, cluster.params().n());
-        if let Some(ci) = &ingress {
-            running
-                .serve_rpc(ci.clone())
-                .map_err(|e| Error::Io(format!("rpc listeners: {e}")))?;
-        }
-        Ok(drive_realtime(
-            running,
-            cluster,
-            scenario,
-            self.name(),
-            ingress,
-        ))
+        run_realtime(cluster, scenario, self.name(), true)
     }
 }
 
@@ -988,22 +1002,29 @@ impl CatchUp {
     }
 }
 
-/// Drives an already-spawned real-time cluster through a late-join
-/// catch-up and times the range fetch. Shared by the two real-time
-/// runtimes' `measure_catch_up`; `deadline` bounds the whole run (growing
-/// the reference ledger to the join round *plus* the fetch itself).
-fn time_catch_up<C: RealtimeCluster>(
-    running: C,
-    late: NodeId,
-    gap: u64,
-    n: usize,
+/// Spawns `cluster` (which must carry a [`ClusterBuilder::with_late_join`]
+/// node) with the late node dormant, waits for a reference ledger to reach
+/// the join round, restarts the late node, and times its range fetch of
+/// the missed prefix — on the socket mesh when `sockets`, on channels
+/// otherwise. `deadline` bounds the whole run (growing the reference ledger
+/// to the join round *plus* the fetch itself).
+fn measure_catch_up<P>(
+    cluster: &ClusterBuilder<P>,
     deadline: Duration,
-) -> Result<CatchUp> {
-    let reference = (0..n as u32)
+    sockets: bool,
+) -> Result<CatchUp>
+where
+    P: ClusterProtocol,
+    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
+{
+    let (late, gap) = cluster.late_join().ok_or_else(|| {
+        Error::Config("measure_catch_up needs ClusterBuilder::with_late_join".into())
+    })?;
+    let running = spawn_realtime(cluster, cluster.build()?, None, sockets)?;
+    let reference = (0..cluster.params().n() as u32)
         .map(NodeId)
         .find(|id| *id != late)
         .expect("a late join needs at least one other node");
-    let _ = running.start();
     let start = Instant::now();
     while (running.deliveries(reference).len() as u64) < gap {
         if start.elapsed() > deadline {
@@ -1048,22 +1069,7 @@ impl Threads {
         P: ClusterProtocol,
         P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
     {
-        let (late, gap) = cluster.late_join().ok_or_else(|| {
-            Error::Config("measure_catch_up needs ClusterBuilder::with_late_join".into())
-        })?;
-        let mut nodes = cluster.build()?;
-        let pre_verify = cluster.pre_verifier();
-        if pre_verify.is_some() {
-            P::enable_preverified_ingress(&mut nodes);
-        }
-        let running = ThreadedCluster::spawn_cluster(
-            nodes,
-            None,
-            pre_verify,
-            Some(realtime_rebuilder(cluster)),
-            &dormant_nodes(cluster),
-        );
-        time_catch_up(running, late, gap, cluster.params().n(), deadline)
+        measure_catch_up(cluster, deadline, false)
     }
 }
 
@@ -1080,23 +1086,6 @@ impl Tcp {
         P: ClusterProtocol,
         P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
     {
-        let (late, gap) = cluster.late_join().ok_or_else(|| {
-            Error::Config("measure_catch_up needs ClusterBuilder::with_late_join".into())
-        })?;
-        let mut nodes = cluster.build()?;
-        let pre_verify = cluster.pre_verifier();
-        if pre_verify.is_some() {
-            P::enable_preverified_ingress(&mut nodes);
-        }
-        let running = TcpCluster::spawn_engine(
-            nodes,
-            None,
-            pre_verify,
-            Some(realtime_rebuilder(cluster)),
-            &dormant_nodes(cluster),
-            cluster.tcp_engine(),
-        )
-        .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))?;
-        time_catch_up(running, late, gap, cluster.params().n(), deadline)
+        measure_catch_up(cluster, deadline, true)
     }
 }

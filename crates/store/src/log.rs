@@ -14,7 +14,8 @@
 //! file is started. Replay reads sealed segments through their footer
 //! (falling back to a scan when the footer does not validate) and scans the
 //! active file, truncating any torn or corrupt tail back to the last valid
-//! record. The log's generic currency is `(kind, payload)` records; what the
+//! record; a corrupt record inside a sealed segment is treated as that
+//! tail, so replay always returns a prefix. The log's generic currency is `(kind, payload)` records; what the
 //! payloads mean is the caller's business.
 
 use crate::record::{
@@ -56,8 +57,11 @@ impl SegmentedLog {
     /// replaying every existing record. Sealed segments are read through
     /// their footer; the active file's torn or corrupt tail, if any, is
     /// truncated to the last valid record so subsequent appends extend a
-    /// clean prefix. `byte_budget` caps total appended payload bytes
-    /// (disk-full injection).
+    /// clean prefix. A sealed segment with a corrupt record mid-file ends
+    /// the replay the same way: its valid records become the active file
+    /// and every later segment is removed, so what replays is always a
+    /// prefix of what was appended. `byte_budget` caps total appended
+    /// payload bytes (disk-full injection).
     pub fn open(
         dir: &Path,
         prefix: &str,
@@ -82,30 +86,38 @@ impl SegmentedLog {
                 actives.push((seq, path));
             }
         }
-        sealed.sort();
         actives.sort();
-
-        let mut records = Vec::new();
-        for (_, path) in &sealed {
-            records.extend(read_sealed(path)?);
-        }
         // At most one active file exists in a clean history; a crash between
         // sealing and starting the next segment can leave several, so all
-        // but the newest are replayed as if sealed (scan, no truncation —
-        // they are never appended to again).
-        let (active_seq, active_path) = match actives.last() {
-            Some((seq, path)) => {
-                for (_, older) in &actives[..actives.len() - 1] {
-                    let bytes = std::fs::read(older)?;
-                    records.extend(scan_records(&bytes).0);
-                }
-                (*seq, path.clone())
+        // but the newest are replayed as if sealed (never appended to again).
+        let newest = actives.pop();
+        sealed.extend(actives);
+        sealed.sort();
+
+        // Replay must yield a prefix: the first closed segment that comes
+        // back short (a corrupt record mid-segment) ends it. That segment
+        // becomes the active file — the scan below cuts it back to its valid
+        // records — and every later file is removed, so the next append
+        // extends the prefix instead of leaving a hole before later records.
+        let mut records = Vec::new();
+        let mut active = newest;
+        for (k, (seq, path)) in sealed.iter().enumerate() {
+            if let Some(segment) = read_sealed(path, records_per_segment)? {
+                records.extend(segment);
+                continue;
             }
-            None => {
-                let seq = sealed.last().map(|(s, _)| s + 1).unwrap_or(0);
-                (seq, segment_path(dir, prefix, seq, false))
+            for (_, later) in sealed[k + 1..].iter().chain(&active) {
+                std::fs::remove_file(later)?;
             }
-        };
+            let reopened = segment_path(dir, prefix, *seq, false);
+            std::fs::rename(path, &reopened)?;
+            active = Some((*seq, reopened));
+            break;
+        }
+        let (active_seq, active_path) = active.unwrap_or_else(|| {
+            let seq = sealed.last().map(|(s, _)| s + 1).unwrap_or(0);
+            (seq, segment_path(dir, prefix, seq, false))
+        });
 
         // Scan the active file and cut back any invalid tail.
         let mut active = OpenOptions::new()
@@ -236,18 +248,26 @@ impl SegmentedLog {
     }
 }
 
-/// Reads a sealed segment. The footer is the fast path; a segment whose
-/// footer does not validate is scanned record by record instead, so footer
-/// corruption degrades to a slower read, never to data loss.
-fn read_sealed(path: &Path) -> Result<Vec<Record>, StoreError> {
+/// Reads a sealed segment, or `None` when it comes back short: fewer
+/// records than its footer lists, or — when the footer does not validate —
+/// fewer than `records_per_segment`. The footer is the fast path; a segment
+/// whose footer is bad is scanned record by record instead, so footer
+/// corruption alone degrades to a slower read, never to data loss.
+fn read_sealed(path: &Path, records_per_segment: u32) -> Result<Option<Vec<Record>>, StoreError> {
     let bytes = std::fs::read(path)?;
-    if let Some((offsets, region)) = decode_footer(&bytes) {
-        let (records, valid) = scan_records(&bytes[..region]);
-        if records.len() == offsets.len() && valid == region {
-            return Ok(records);
+    let (records, complete) = match decode_footer(&bytes) {
+        Some((offsets, region)) => {
+            let (records, valid) = scan_records(&bytes[..region]);
+            let complete = records.len() == offsets.len() && valid == region;
+            (records, complete)
         }
-    }
-    Ok(scan_records(&bytes).0)
+        None => {
+            let records = scan_records(&bytes).0;
+            let complete = records.len() >= records_per_segment.max(1) as usize;
+            (records, complete)
+        }
+    };
+    Ok(complete.then_some(records))
 }
 
 /// `<dir>/<prefix>-<seq:06>.{log,seg}`.
@@ -346,6 +366,35 @@ mod tests {
         std::fs::write(&sealed, &bytes).unwrap();
         let (_, recovered) = open(&dir, 3);
         assert_eq!(recovered.len(), 3, "records must survive footer loss");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_record_mid_sealed_segment_ends_the_replayed_prefix() {
+        let dir = tempdir("midseg");
+        let (mut log, _) = open(&dir, 4);
+        // 14 records at 4/segment: sealed segments 0..=2 plus 2 active.
+        for i in 0..14u8 {
+            log.append(0x01, &[i; 8]).unwrap();
+        }
+        drop(log);
+        // Flip a payload byte of segment 1's second record (record 5).
+        let seg1 = segment_path(&dir, "blocks", 1, true);
+        let mut bytes = std::fs::read(&seg1).unwrap();
+        bytes[(RECORD_HEADER_LEN + 8) + RECORD_HEADER_LEN + 2] ^= 0x01;
+        std::fs::write(&seg1, &bytes).unwrap();
+
+        let (mut log, recovered) = open(&dir, 4);
+        let payloads: Vec<Vec<u8>> = recovered.into_iter().map(|(_, p)| p).collect();
+        let prefix: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 8]).collect();
+        assert_eq!(payloads, prefix, "replay must stop at the corrupt record");
+        log.append(0x01, &[99; 8]).unwrap();
+        drop(log);
+        let (_, again) = open(&dir, 4);
+        let payloads: Vec<Vec<u8>> = again.into_iter().map(|(_, p)| p).collect();
+        let mut expected = prefix;
+        expected.push(vec![99; 8]);
+        assert_eq!(payloads, expected, "the next append extends the prefix");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,19 +1,24 @@
-//! The `fireledger-exec` surface the repo benchmark calls, spelled the way
-//! `benchmark/` spells it.
+//! The `fireledger-exec` and `fireledger-net` surface the repo benchmark
+//! calls, spelled the way `benchmark/` spells it.
 //!
 //! `benchmark/` is its own package outside this workspace, so `cargo test`
-//! never compiles it: a signature drift in `crates/exec` would first show
-//! as a failed benchmark run. Each test below mirrors one call site
-//! (`benchmark/src/run.rs` standalone root timing, `loopback.rs` pipeline
-//! hooks, `segment.rs` execution gate) with the same bindings, mutability
-//! and argument types, and fails tier-1 instead.
+//! never compiles it: a signature drift in `crates/exec` or `crates/net`
+//! would first show as a failed benchmark run. Each test below mirrors one
+//! call site (`benchmark/src/run.rs` standalone root timing, `loopback.rs`
+//! pipeline hooks, `segment.rs` execution gate and socket cluster) with the
+//! same bindings, mutability and argument types, and fails tier-1 instead.
 
+use fireledger::{AdmissionConfig, FloMsg};
 use fireledger_crypto::{CryptoPool, SimKeyStore};
 use fireledger_exec::{execute_block, ExecConfig, ExecShared, ExecStage, StateMachine};
+use fireledger_net::{RpcClient, TcpCluster};
+use fireledger_runtime::{ClusterBuilder, ClusterIngress, FloCluster};
 use fireledger_types::{
-    Block, BlockHeader, Bytes, Hash, NodeId, Receipt, Round, Transaction, TxOp, WorkerId,
-    GENESIS_HASH,
+    Block, BlockHeader, Bytes, Delivery, Hash, NodeId, ProtocolParams, Receipt, Round, Transaction,
+    TxOp, WorkerId, GENESIS_HASH,
 };
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn put(seq: u64, key: u64) -> Transaction {
     let op = TxOp::KvPut {
@@ -110,4 +115,46 @@ fn execution_gate_reads_keep_their_shape() {
     assert_eq!(common, Some(2));
     let roots: Vec<Option<Hash>> = shards.iter().map(|s| s.prefix_root(common)).collect();
     assert!(roots[0].is_some() && roots[0] == roots[1]);
+}
+
+/// `segment.rs::SetUp`: the benchmark names the socket cluster by type.
+struct SetUp {
+    cluster: TcpCluster<FloMsg>,
+    clients: Vec<RpcClient>,
+}
+
+/// `segment.rs::set_up` and `run`: `TcpCluster::spawn_engine` with the
+/// builder's engine and no trait import, `serve_rpc` handing back one
+/// address per node for `RpcClient::connect`, the wait for node 0's first
+/// delivery, then `start`, `crash` and `shutdown`.
+#[test]
+fn socket_cluster_surface_keeps_its_shape() {
+    let builder = ClusterBuilder::<FloCluster>::new(ProtocolParams::new(4).with_batch_size(10));
+    let nodes = builder.build().expect("build");
+    let mut cluster = TcpCluster::spawn_engine(nodes, None, None, None, &[], builder.tcp_engine())
+        .expect("tcp mesh");
+    let ingress = Arc::new(ClusterIngress::new(4, AdmissionConfig::default()));
+    let addrs = cluster.serve_rpc(ingress).expect("rpc listeners");
+    let clients = addrs[..2]
+        .iter()
+        .map(|addr| RpcClient::connect(*addr))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("client connect");
+    let set_up = SetUp { cluster, clients };
+    let started = Instant::now();
+    while set_up.cluster.delivery_times(NodeId(0)).is_empty() {
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "node 0 delivered nothing"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let SetUp { cluster, clients } = set_up;
+    let origin: Instant = cluster.start();
+    assert!(origin <= Instant::now());
+    cluster.crash(NodeId(3));
+    drop(clients);
+    let deliveries: Vec<Vec<Delivery>> = cluster.shutdown();
+    assert_eq!(deliveries.len(), 4);
+    assert!(!deliveries[0].is_empty());
 }

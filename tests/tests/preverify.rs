@@ -19,7 +19,7 @@
 
 use fireledger::{AcceptAll, FloMsg, FloNode};
 use fireledger_crypto::{CryptoPool, SimKeyStore};
-use fireledger_net::ThreadedCluster;
+use fireledger_net::RealtimeCluster;
 use fireledger_runtime::prelude::*;
 use fireledger_runtime::{BuildContext, FloPreVerifier};
 use fireledger_types::{Delivery, Signature, WireCodec, WireSize};
@@ -169,7 +169,7 @@ fn run_with_corrupt_signer(with_stage: bool) -> Vec<Vec<Delivery>> {
         .collect();
     let pre_verify: Option<Arc<dyn fireledger_net::PreVerify<FloMsg>>> = with_stage
         .then(|| Arc::new(FloPreVerifier::new(&ctx)) as Arc<dyn fireledger_net::PreVerify<FloMsg>>);
-    let cluster = ThreadedCluster::spawn_full(nodes, None, pre_verify);
+    let cluster = RealtimeCluster::spawn_channels(nodes, None, pre_verify, None, &[]);
     std::thread::sleep(Duration::from_millis(1_200));
     cluster.shutdown()
 }
