@@ -11,7 +11,7 @@ use fireledger_types::{Action, Delivery, NodeId, Outbox, Protocol, TimerId, Tran
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Events routed to a node's thread.
@@ -33,6 +33,10 @@ pub(crate) enum NodeEvent<M> {
         /// The shared message.
         msg: Arc<M>,
     },
+    /// Protocol messages handled one by one, in order, exactly as if each
+    /// had been its own [`NodeEvent::Message`] — what a socket reactor
+    /// thread decoded for this node in one sweep, handed over in one wakeup.
+    Batch(Vec<(NodeId, M)>),
     /// A client transaction submitted to this node.
     Transaction(Transaction),
     /// Re-check the fault flags now instead of at the next poll — what a
@@ -139,14 +143,16 @@ fn run_preverify_stage<M>(
                 Err(_) => break,
             }
         }
-        // One verification pass over the drained run of messages.
-        let items: Vec<(NodeId, &M)> = batch
-            .iter()
-            .filter_map(|e| match e {
-                NodeEvent::Message { from, msg } => Some((*from, msg)),
-                _ => None,
-            })
-            .collect();
+        // One verification pass over the drained run of messages, the
+        // items of batch events included.
+        let mut items: Vec<(NodeId, &M)> = Vec::new();
+        for event in &batch {
+            match event {
+                NodeEvent::Message { from, msg } => items.push((*from, msg)),
+                NodeEvent::Batch(msgs) => items.extend(msgs.iter().map(|(from, msg)| (*from, msg))),
+                _ => {}
+            }
+        }
         let verdicts = if items.is_empty() {
             Vec::new()
         } else {
@@ -154,18 +160,23 @@ fn run_preverify_stage<M>(
             debug_assert_eq!(verdicts.len(), items.len());
             verdicts
         };
-        let mut vi = 0;
+        // Verdicts are consumed in the order `items` was built.
+        let mut verdicts = verdicts.into_iter();
+        let mut keep = || verdicts.next().unwrap_or(Verdict::Forward) == Verdict::Forward;
         for event in batch.drain(..) {
-            let forward = match &event {
-                NodeEvent::Message { .. } => {
-                    let v = verdicts.get(vi).copied().unwrap_or(Verdict::Forward);
-                    vi += 1;
-                    v == Verdict::Forward
+            let event = match event {
+                NodeEvent::Message { .. } if !keep() => continue,
+                NodeEvent::Batch(msgs) => {
+                    let survivors: Vec<(NodeId, M)> = msgs.into_iter().filter(|_| keep()).collect();
+                    if survivors.is_empty() {
+                        continue;
+                    }
+                    NodeEvent::Batch(survivors)
                 }
-                _ => true,
+                other => other,
             };
             let is_shutdown = matches!(event, NodeEvent::Shutdown);
-            if forward && tx.send(event).is_err() {
+            if tx.send(event).is_err() {
                 return;
             }
             if is_shutdown {
@@ -206,18 +217,25 @@ where
 /// The shared per-node delivery logs: every delivery is recorded together
 /// with its wall-clock offset from the cluster's start, which is the raw
 /// series behind the delivery-timeline (stall/recovery) metrics of run
-/// reports.
+/// reports. Each node's log has its own lock, so node threads recording
+/// deliveries never contend with each other.
 pub(crate) struct DeliveryLog {
     start: Instant,
-    entries: Mutex<Vec<Vec<(Delivery, Duration)>>>,
+    entries: Vec<Mutex<Vec<(Delivery, Duration)>>>,
 }
 
 impl DeliveryLog {
     pub fn new(n: usize) -> Self {
         DeliveryLog {
             start: Instant::now(),
-            entries: Mutex::new(vec![Vec::new(); n]),
+            entries: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
         }
+    }
+
+    fn entries(&self, node: NodeId) -> MutexGuard<'_, Vec<(Delivery, Duration)>> {
+        self.entries[node.as_usize()]
+            .lock()
+            .expect("delivery log lock")
     }
 
     /// The instant offsets are measured from (also the time base of
@@ -228,7 +246,7 @@ impl DeliveryLog {
 
     fn record(&self, node: NodeId, delivery: Delivery) {
         let at = self.start.elapsed();
-        self.entries.lock().expect("delivery log lock")[node.as_usize()].push((delivery, at));
+        self.entries(node).push((delivery, at));
     }
 
     /// Clears `node`'s recorded deliveries — a kill destroys the process,
@@ -236,35 +254,35 @@ impl DeliveryLog {
     /// re-emits its recovered prefix, and the post-restart log reads as the
     /// complete ledger from round 0.
     fn clear(&self, node: NodeId) {
-        self.entries.lock().expect("delivery log lock")[node.as_usize()].clear();
+        self.entries(node).clear();
     }
 
     /// Blocks delivered so far at `node` (a snapshot).
     pub fn deliveries(&self, node: NodeId) -> Vec<Delivery> {
-        self.entries.lock().expect("delivery log lock")[node.as_usize()]
-            .iter()
-            .map(|(d, _)| d.clone())
-            .collect()
+        self.entries(node).iter().map(|(d, _)| d.clone()).collect()
     }
 
     /// Offsets from [`DeliveryLog::start`] of `node`'s deliveries so far.
     pub fn times(&self, node: NodeId) -> Vec<Duration> {
-        self.entries.lock().expect("delivery log lock")[node.as_usize()]
-            .iter()
-            .map(|(_, at)| *at)
-            .collect()
+        self.entries(node).iter().map(|(_, at)| *at).collect()
     }
 
     /// The final per-node deliveries (callers join their node threads
     /// first, so the `Arc` is normally unique).
     pub fn into_deliveries(log: Arc<Self>) -> Vec<Vec<Delivery>> {
-        let timed = Arc::try_unwrap(log)
-            .map(|log| log.entries.into_inner().expect("delivery log lock"))
-            .unwrap_or_else(|arc| arc.entries.lock().expect("delivery log lock").clone());
-        timed
-            .into_iter()
-            .map(|ds| ds.into_iter().map(|(d, _)| d).collect())
-            .collect()
+        match Arc::try_unwrap(log) {
+            Ok(log) => log
+                .entries
+                .into_iter()
+                .map(|node| {
+                    let timed = node.into_inner().expect("delivery log lock");
+                    timed.into_iter().map(|(d, _)| d).collect()
+                })
+                .collect(),
+            Err(shared) => (0..shared.entries.len())
+                .map(|i| shared.deliveries(NodeId(i as u32)))
+                .collect(),
+        }
     }
 }
 
@@ -466,6 +484,26 @@ pub(crate) fn run_node<P, E>(
                         node.on_message(from, msg, &mut out);
                         apply(me, &mut out, egress, &mut timers, &log);
                     }
+                    NodeEvent::Batch(msgs) => {
+                        for (k, (from, msg)) in msgs.into_iter().enumerate() {
+                            // The flags are re-checked between items as
+                            // between events: a crash stops the thread at
+                            // once, a pause or a kill loses the rest of the
+                            // batch.
+                            if k > 0 {
+                                if flags.crashed[i].load(Ordering::SeqCst) {
+                                    return;
+                                }
+                                if flags.paused[i].load(Ordering::SeqCst)
+                                    || flags.killed[i].load(Ordering::SeqCst)
+                                {
+                                    break;
+                                }
+                            }
+                            node.on_message(from, msg, &mut out);
+                            apply(me, &mut out, egress, &mut timers, &log);
+                        }
+                    }
                     NodeEvent::Transaction(tx) => {
                         node.on_transaction(tx, &mut out);
                         apply(me, &mut out, egress, &mut timers, &log);
@@ -502,5 +540,191 @@ fn apply<M, E: Egress<M>>(
             // crypto; observations are only collected by the simulator.
             Action::Cpu(_) | Action::Observe(_) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread::JoinHandle;
+
+    fn batch(values: &[u64]) -> NodeEvent<u64> {
+        NodeEvent::Batch(values.iter().map(|v| (NodeId(1), *v)).collect())
+    }
+
+    /// Drops odd values and records the length of every `check_batch` call.
+    #[derive(Default)]
+    struct DropOdd {
+        calls: Mutex<Vec<usize>>,
+    }
+
+    impl PreVerify<u64> for DropOdd {
+        fn check(&self, _from: NodeId, msg: &u64) -> Verdict {
+            if msg % 2 == 1 {
+                Verdict::Drop
+            } else {
+                Verdict::Forward
+            }
+        }
+
+        fn check_batch(&self, items: &[(NodeId, &u64)]) -> Vec<Verdict> {
+            self.calls.lock().unwrap().push(items.len());
+            items
+                .iter()
+                .map(|(from, msg)| self.check(*from, msg))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn preverify_stage_verifies_batch_items_with_the_drained_messages() {
+        let (in_tx, in_rx) = channel();
+        let (out_tx, out_rx) = channel();
+        let from = NodeId(1);
+        in_tx.send(NodeEvent::Message { from, msg: 1 }).unwrap();
+        in_tx.send(batch(&[2, 3, 4])).unwrap();
+        in_tx.send(NodeEvent::Message { from, msg: 6 }).unwrap();
+        // A batch with no survivors is not forwarded at all.
+        in_tx.send(batch(&[7])).unwrap();
+        drop(in_tx);
+        let pv = Arc::new(DropOdd::default());
+        run_preverify_stage(in_rx, out_tx, pv.clone());
+
+        let out: Vec<(&str, Vec<u64>)> = out_rx
+            .try_iter()
+            .map(|event| match event {
+                NodeEvent::Message { msg, .. } => ("message", vec![msg]),
+                NodeEvent::Batch(items) => ("batch", items.into_iter().map(|(_, m)| m).collect()),
+                _ => ("other", Vec::new()),
+            })
+            .collect();
+        assert_eq!(out, [("batch", vec![2, 4]), ("message", vec![6])]);
+        assert_eq!(*pv.calls.lock().unwrap(), [6], "one check_batch call");
+    }
+
+    struct NoEgress;
+
+    impl Egress<u64> for NoEgress {
+        fn send(&mut self, _to: NodeId, _msg: u64) {}
+        fn broadcast(&mut self, _msg: u64) {}
+    }
+
+    /// Records every message it handles; the first one raises `trip` (one of
+    /// the node's own flags), if set.
+    struct Tripwire {
+        seen: Arc<Mutex<Vec<u64>>>,
+        trip: Option<Arc<Vec<AtomicBool>>>,
+    }
+
+    impl Protocol for Tripwire {
+        type Msg = u64;
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn on_start(&mut self, _out: &mut Outbox<u64>) {}
+        fn on_message(&mut self, _from: NodeId, msg: u64, _out: &mut Outbox<u64>) {
+            self.seen.lock().unwrap().push(msg);
+            if let Some(flag) = self.trip.take() {
+                flag[0].store(true, Ordering::SeqCst);
+            }
+        }
+        fn on_timer(&mut self, _timer: TimerId, _out: &mut Outbox<u64>) {}
+    }
+
+    struct Harness {
+        tx: Sender<NodeEvent<u64>>,
+        flags: NodeFlags,
+        seen: Arc<Mutex<Vec<u64>>>,
+        thread: JoinHandle<()>,
+    }
+
+    impl Harness {
+        /// Runs node 0 as a `Tripwire` raising the flag `bank` picks; its
+        /// rebuild hook makes a `Tripwire` that raises nothing.
+        fn start(bank: fn(&NodeFlags) -> &Arc<Vec<AtomicBool>>) -> Self {
+            let (tx, rx) = channel();
+            let flags = NodeFlags::new(1);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let node = Tripwire {
+                seen: seen.clone(),
+                trip: Some(bank(&flags).clone()),
+            };
+            let rebuilt = seen.clone();
+            let rebuild: Rebuild<Tripwire> = Arc::new(move |_| Tripwire {
+                seen: rebuilt.clone(),
+                trip: None,
+            });
+            let (log, node_flags) = (Arc::new(DeliveryLog::new(1)), flags.clone());
+            let thread = std::thread::spawn(move || {
+                run_node(
+                    node,
+                    NodeId(0),
+                    rx,
+                    &mut NoEgress,
+                    log,
+                    node_flags,
+                    Some(rebuild),
+                );
+            });
+            Harness {
+                tx,
+                flags,
+                seen,
+                thread,
+            }
+        }
+
+        fn seen(&self) -> Vec<u64> {
+            self.seen.lock().unwrap().clone()
+        }
+
+        /// Waits until the loop mirrors `status` — it does so only between
+        /// events, so the batch that raised a flag has been left by then.
+        fn wait_status(&self, status: u8) {
+            while self.flags.statuses[0].load(Ordering::Acquire) != status {
+                std::thread::yield_now();
+            }
+        }
+
+        /// Sends `values` as one batch, shuts down and joins; the messages
+        /// the node handled over its whole life.
+        fn finish(self, values: &[u64]) -> Vec<u64> {
+            self.tx.send(batch(values)).unwrap();
+            self.tx.send(NodeEvent::Shutdown).unwrap();
+            self.thread.join().unwrap();
+            let seen = self.seen.lock().unwrap().clone();
+            seen
+        }
+    }
+
+    #[test]
+    fn a_crash_raised_inside_a_batch_stops_the_thread_at_once() {
+        let node = Harness::start(|flags| &flags.crashed);
+        node.tx.send(batch(&[1, 2, 3])).unwrap();
+        node.thread.join().unwrap();
+        assert_eq!(*node.seen.lock().unwrap(), [1]);
+    }
+
+    #[test]
+    fn a_pause_raised_inside_a_batch_discards_the_rest_of_it() {
+        let node = Harness::start(|flags| &flags.paused);
+        node.tx.send(batch(&[1, 2, 3])).unwrap();
+        node.wait_status(2);
+        assert_eq!(node.seen(), [1]);
+        node.flags.paused[0].store(false, Ordering::SeqCst);
+        assert_eq!(node.finish(&[4]), [1, 4]);
+    }
+
+    #[test]
+    fn a_kill_raised_inside_a_batch_discards_the_rest_and_the_node_restarts() {
+        let node = Harness::start(|flags| &flags.killed);
+        node.tx.send(batch(&[1, 2, 3])).unwrap();
+        node.wait_status(STATUS_KILLED);
+        assert_eq!(node.seen(), [1]);
+        // The restart is honoured at the top of the loop, so the `Wake` the
+        // loop discards guarantees the rebuilt node handles the next batch.
+        node.flags.restarts[0].store(true, Ordering::SeqCst);
+        node.tx.send(NodeEvent::Wake).unwrap();
+        assert_eq!(node.finish(&[4]), [1, 4]);
     }
 }

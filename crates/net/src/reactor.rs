@@ -5,23 +5,28 @@
 //! cluster-wide and cap realistic cluster sizes in the single digits (the
 //! engine PR 10 replaced; its before/after rows are in
 //! `BENCH_throughput.json`). Instead, [`DEFAULT_REACTOR_THREADS`] **reactor
-//! threads** each own a static partition of the mesh's connections and
-//! drive them with nonblocking I/O:
+//! threads** drive the mesh with nonblocking I/O, partitioned **by local
+//! node**: every connection of node `i` belongs to thread `i % k`:
 //!
 //! * every stream is `set_nonblocking(true)` and wrapped in a [`Conn`];
-//! * a reactor thread sweeps its connections in a loop, advancing each
-//!   connection's **read state machine** ([`FrameReader`]: resumable
-//!   partial-frame accumulation into a grow-only payload buffer) and
-//!   **write state machine** ([`WriteCursor`]: the drain-and-coalesce
+//! * a reactor thread sweeps its nodes in a loop, advancing each of a
+//!   node's connections' **read state machine** ([`FrameReader`]:
+//!   resumable partial-frame accumulation into a grow-only payload buffer)
+//!   and **write state machine** ([`WriteCursor`]: the drain-and-coalesce
 //!   batching of `write_coalesced`, made resumable across `WouldBlock`);
+//! * everything a sweep decoded for one node reaches that node's event
+//!   queue as **one** [`NodeEvent::Batch`] — one wakeup of the node thread
+//!   per sweep instead of one per frame, which at n = 16 (240 votes per
+//!   block) is most of the runtime's cost. A link's frames keep their order
+//!   inside a batch, and a thread's batches arrive in sweep order;
 //! * when a sweep makes no progress the thread backs off — first yielding,
 //!   then sleeping — so an idle cluster costs ~0 CPU while a loaded one
 //!   never sleeps.
 //!
 //! Frames enter through the per-connection mpsc outbox that
-//! [`crate::tcp`]'s egress (and the fault shim's delay line) feed, and
-//! decoded messages leave through the node's event queue. Total cluster
-//! threads are `n + DEFAULT_REACTOR_THREADS`.
+//! [`crate::tcp`]'s egress (and the fault shim's delay line) feed. Total
+//! cluster threads are `n + DEFAULT_REACTOR_THREADS` (fewer reactor threads
+//! only when there are fewer nodes than that).
 //!
 //! This is std-only by design (no epoll/kqueue binding): readiness is
 //! discovered by attempting the nonblocking syscall and treating
@@ -40,7 +45,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Size of the reactor pool (at most one thread per connection).
+/// Size of the reactor pool (at most one thread per node).
 ///
 /// Four threads saturate a localhost mesh well past n = 64 while staying
 /// below the core count of small CI hosts.
@@ -286,19 +291,18 @@ impl WriteCursor {
 }
 
 /// One mesh connection as the reactor sees it: the nonblocking stream plus
-/// both direction's state machines, the outbox the egress feeds, and the
-/// event queue decoded messages drain into.
+/// both direction's state machines and the outbox the egress feeds.
 ///
 /// The read and write halves fail independently: a framing violation kills
 /// only the read half; a write error kills only the write half.
-pub(crate) struct Conn<M> {
+pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// The peer on the far end (the `from` of every decoded message).
     pub(crate) peer: NodeId,
-    /// The local node this connection belongs to (for log messages).
+    /// The local node this connection belongs to: its messages go to that
+    /// node's event queue, and it picks the reactor thread.
     pub(crate) local: NodeId,
     pub(crate) outbox: Receiver<Arc<Vec<u8>>>,
-    pub(crate) evt_tx: Sender<NodeEvent<M>>,
     pub(crate) reader: FrameReader,
     pub(crate) writer: WriteCursor,
     read_dead: bool,
@@ -306,31 +310,25 @@ pub(crate) struct Conn<M> {
     /// Set when every outbox sender is gone (cluster tearing down): once the
     /// in-flight batch drains there will never be more to write.
     outbox_gone: bool,
-    /// Set when the node's event queue is gone: keep *consuming* frames so
-    /// peers aren't back-pressured into a stall, but stop decoding them.
-    evt_gone: bool,
 }
 
-impl<M: WireCodec> Conn<M> {
+impl Conn {
     pub(crate) fn new(
         stream: TcpStream,
         peer: NodeId,
         local: NodeId,
         outbox: Receiver<Arc<Vec<u8>>>,
-        evt_tx: Sender<NodeEvent<M>>,
     ) -> Self {
         Conn {
             stream,
             peer,
             local,
             outbox,
-            evt_tx,
             reader: FrameReader::new(),
             writer: WriteCursor::new(),
             read_dead: false,
             write_dead: false,
             outbox_gone: false,
-            evt_gone: false,
         }
     }
 
@@ -375,8 +373,10 @@ impl<M: WireCodec> Conn<M> {
         progress
     }
 
-    /// Advances the read half; returns true when any progress was made.
-    fn poll_read(&mut self) -> bool {
+    /// Advances the read half, appending each decoded message (tagged with
+    /// its sender) to `batch`, or dropping it when `discard` is set; returns
+    /// true when any progress was made.
+    fn poll_read<M: WireCodec>(&mut self, batch: &mut Vec<(NodeId, M)>, discard: bool) -> bool {
         if self.read_dead {
             return false;
         }
@@ -385,18 +385,13 @@ impl<M: WireCodec> Conn<M> {
             match self.reader.step(&mut self.stream) {
                 Ok(ReadStep::Frame(len)) => {
                     progress = true;
-                    if self.evt_gone {
+                    if discard {
                         continue; // drain-and-discard: keep the peer unblocked
                     }
                     let backing =
                         fireledger_types::Bytes::copy_from_slice(&self.reader.payload()[..len]);
                     match M::decode_shared(&backing) {
-                        Ok(msg) => {
-                            let from = self.peer;
-                            if self.evt_tx.send(NodeEvent::Message { from, msg }).is_err() {
-                                self.evt_gone = true;
-                            }
-                        }
+                        Ok(msg) => batch.push((self.peer, msg)),
                         Err(e) => {
                             eprintln!(
                                 "fireledger-net: tearing down link p{} -> p{}: \
@@ -433,27 +428,102 @@ impl<M: WireCodec> Conn<M> {
     }
 }
 
-/// The reactor pool: `k` threads, each sweeping a static partition of the
-/// mesh's connections.
+/// Every connection of one local node, swept by one reactor thread, plus
+/// that node's event queue.
+struct NodeGroup<M> {
+    evt_tx: Sender<NodeEvent<M>>,
+    /// Set when the node's event queue is gone: keep *consuming* frames so
+    /// peers aren't back-pressured into a stall, but stop decoding them.
+    evt_gone: bool,
+    conns: Vec<Conn>,
+    /// Messages decoded in the current sweep, in per-link order.
+    batch: Vec<(NodeId, M)>,
+}
+
+impl<M: WireCodec> NodeGroup<M> {
+    fn new(evt_tx: Sender<NodeEvent<M>>) -> Self {
+        NodeGroup {
+            evt_tx,
+            evt_gone: false,
+            conns: Vec::new(),
+            batch: Vec::new(),
+        }
+    }
+
+    /// Advances every connection once, then hands everything decoded to the
+    /// node as one [`NodeEvent::Batch`] — one wakeup per sweep, not one per
+    /// frame. Returns true when any progress was made.
+    fn sweep(&mut self, max_batch: usize) -> bool {
+        let mut progress = false;
+        for conn in &mut self.conns {
+            progress |= conn.poll_write(max_batch);
+            progress |= conn.poll_read(&mut self.batch, self.evt_gone);
+        }
+        if !self.batch.is_empty() {
+            // Sized like this sweep's batch: steady state is one allocation
+            // per handed-over batch.
+            let len = self.batch.len();
+            let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(len));
+            if self.evt_tx.send(NodeEvent::Batch(batch)).is_err() {
+                self.evt_gone = true;
+            }
+        }
+        progress
+    }
+
+    fn done(&self) -> bool {
+        self.conns.iter().all(Conn::done)
+    }
+}
+
+/// Deals `conns` out to `k` reactor threads by local node: every connection
+/// of node `i` goes to thread `i % k`, in one [`NodeGroup`] fed by
+/// `evt_senders[i]`. Threads no node maps to get an empty list.
+fn partition<M: WireCodec>(
+    conns: Vec<Conn>,
+    evt_senders: &[Sender<NodeEvent<M>>],
+    k: usize,
+) -> Vec<Vec<NodeGroup<M>>> {
+    let mut groups: Vec<Option<NodeGroup<M>>> = evt_senders.iter().map(|_| None).collect();
+    for conn in conns {
+        let i = conn.local.as_usize();
+        groups[i]
+            .get_or_insert_with(|| NodeGroup::new(evt_senders[i].clone()))
+            .conns
+            .push(conn);
+    }
+    let mut buckets: Vec<Vec<NodeGroup<M>>> = (0..k).map(|_| Vec::new()).collect();
+    for (i, group) in groups.into_iter().enumerate() {
+        if let Some(group) = group {
+            buckets[i % k].push(group);
+        }
+    }
+    buckets
+}
+
+/// The reactor pool: `k` threads, each sweeping every connection of a
+/// static subset of the nodes.
 pub(crate) struct Reactor {
     handles: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
 }
 
 impl Reactor {
-    /// Partitions `conns` round-robin over `threads` reactor threads and
-    /// starts them. Connections must already be nonblocking.
-    pub(crate) fn spawn<M>(conns: Vec<Conn<M>>, threads: usize, max_batch: usize) -> Self
+    /// Partitions `conns` by local node over `threads` reactor threads (see
+    /// [`partition`]) and starts the threads that got any; decoded messages
+    /// for node `i` go to `evt_senders[i]`. Connections must already be
+    /// nonblocking.
+    pub(crate) fn spawn<M>(
+        conns: Vec<Conn>,
+        evt_senders: &[Sender<NodeEvent<M>>],
+        threads: usize,
+        max_batch: usize,
+    ) -> Self
     where
         M: WireCodec + Send + Sync + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
-        let k = threads.max(1).min(conns.len().max(1));
-        let mut buckets: Vec<Vec<Conn<M>>> = (0..k).map(|_| Vec::new()).collect();
-        for (idx, conn) in conns.into_iter().enumerate() {
-            buckets[idx % k].push(conn);
-        }
-        let handles = buckets
+        let handles = partition(conns, evt_senders, threads.max(1))
             .into_iter()
             .filter(|bucket| !bucket.is_empty())
             .map(|mut bucket| {
@@ -466,10 +536,9 @@ impl Reactor {
                         }
                         let mut progress = false;
                         let mut all_done = true;
-                        for conn in bucket.iter_mut() {
-                            progress |= conn.poll_write(max_batch);
-                            progress |= conn.poll_read();
-                            all_done &= conn.done();
+                        for group in bucket.iter_mut() {
+                            progress |= group.sweep(max_batch);
+                            all_done &= group.done();
                         }
                         if all_done {
                             return;
@@ -738,5 +807,159 @@ mod tests {
         // refill report the outbox disconnected.
         drop(tx);
         assert_eq!(cursor.refill(&rx, 8), (0, true));
+    }
+
+    /// A connected loopback pair: `(dialed, accepted)`.
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dialed = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (accepted, _) = listener.accept().expect("accept");
+        (dialed, accepted)
+    }
+
+    /// `stream` as a nonblocking connection of node `local` to `peer`, with
+    /// an outbox nothing feeds.
+    fn conn(stream: TcpStream, local: u32, peer: u32) -> Conn {
+        stream.set_nonblocking(true).expect("nonblocking");
+        let (_, outbox) = std::sync::mpsc::channel();
+        Conn::new(stream, NodeId(peer), NodeId(local), outbox)
+    }
+
+    /// Writes each value as one frame.
+    fn send_frames(w: &mut TcpStream, values: &[u64]) {
+        for v in values {
+            crate::frame::write_frame(w, &v.encode()).expect("write frame");
+        }
+    }
+
+    /// Blocks until `total` unread bytes sit in `stream`'s receive buffer,
+    /// so the next sweep is certain to find them.
+    fn wait_readable(stream: &TcpStream, total: usize) {
+        let mut buf = vec![0u8; total];
+        loop {
+            match stream.peek(&mut buf) {
+                Ok(k) if k >= total => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("peek: {e}"),
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Bytes on the wire of `frames` frames carrying a `u64`.
+    fn wire_len(frames: usize) -> usize {
+        frames * (FRAME_HEADER_LEN + 0u64.encode().len())
+    }
+
+    /// The batches waiting in a node's event queue, as `(from, msg)` lists.
+    fn batches(rx: &Receiver<NodeEvent<u64>>) -> Vec<Vec<(u32, u64)>> {
+        rx.try_iter()
+            .map(|event| match event {
+                NodeEvent::Batch(items) => items.into_iter().map(|(f, m)| (f.0, m)).collect(),
+                _ => panic!("the reactor sends only batches"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn partition_gives_every_connection_of_node_i_to_thread_i_mod_k() {
+        // Six nodes, two connections each (the two ends of loopback pairs),
+        // dealt out in an order unrelated to the node ids.
+        let mut conns = Vec::new();
+        let mut keep = Vec::new();
+        for i in [5u32, 2, 0, 3, 1, 4] {
+            for _ in 0..2 {
+                let (dialed, accepted) = loopback_pair();
+                conns.push(conn(accepted, i, 9));
+                keep.push(dialed);
+            }
+        }
+        let (senders, _receivers): (Vec<_>, Vec<_>) = (0..6)
+            .map(|_| std::sync::mpsc::channel::<NodeEvent<u64>>())
+            .unzip();
+        let buckets = partition(conns, &senders, 4);
+        assert_eq!(buckets.len(), 4);
+        for (t, bucket) in buckets.iter().enumerate() {
+            let nodes: Vec<usize> = bucket
+                .iter()
+                .map(|group| {
+                    let node = group.conns[0].local.as_usize();
+                    assert_eq!(group.conns.len(), 2, "node {node} split across groups");
+                    assert!(group.conns.iter().all(|c| c.local.as_usize() == node));
+                    node
+                })
+                .collect();
+            let expected: Vec<usize> = (0..6).filter(|i| i % 4 == t).collect();
+            assert_eq!(nodes, expected, "thread {t}");
+        }
+    }
+
+    #[test]
+    fn one_sweep_hands_a_node_one_batch_in_per_link_order() {
+        let (mut from1, at1) = loopback_pair();
+        let (mut from2, at2) = loopback_pair();
+        send_frames(&mut from1, &[10, 11, 12]);
+        send_frames(&mut from2, &[20, 21]);
+        wait_readable(&at1, wire_len(3));
+        wait_readable(&at2, wire_len(2));
+
+        let (evt_tx, evt_rx) = std::sync::mpsc::channel();
+        let mut group = NodeGroup::new(evt_tx);
+        group.conns = vec![conn(at1, 0, 1), conn(at2, 0, 2)];
+        assert!(group.sweep(8));
+
+        let got = batches(&evt_rx);
+        assert_eq!(got.len(), 1, "one sweep, one event: {got:?}");
+        let from = |peer: u32| -> Vec<u64> {
+            got[0]
+                .iter()
+                .filter(|(f, _)| *f == peer)
+                .map(|(_, m)| *m)
+                .collect()
+        };
+        assert_eq!(from(1), [10, 11, 12]);
+        assert_eq!(from(2), [20, 21]);
+
+        // Nothing decoded, nothing sent.
+        assert!(!group.sweep(8));
+        assert!(batches(&evt_rx).is_empty());
+    }
+
+    #[test]
+    fn a_gone_event_queue_drains_its_links_and_spares_the_other_nodes() {
+        let (mut to_gone, at_gone) = loopback_pair();
+        let (mut to_live, at_live) = loopback_pair();
+        let gone_probe = at_gone.try_clone().expect("clone");
+        let live_probe = at_live.try_clone().expect("clone");
+        let (gone_tx, gone_rx) = std::sync::mpsc::channel();
+        let (live_tx, live_rx) = std::sync::mpsc::channel();
+        drop(gone_rx);
+        let mut gone = NodeGroup::new(gone_tx);
+        gone.conns = vec![conn(at_gone, 0, 1)];
+        let mut live = NodeGroup::new(live_tx);
+        live.conns = vec![conn(at_live, 4, 1)];
+        // One reactor thread's bucket: nodes 0 and 4 share thread 0 of 4.
+        let mut bucket = [gone, live];
+
+        for round in 0..2u64 {
+            send_frames(&mut to_gone, &[round, round]);
+            send_frames(&mut to_live, &[100 + round]);
+            wait_readable(&gone_probe, wire_len(2));
+            wait_readable(&live_probe, wire_len(1));
+            for group in &mut bucket {
+                assert!(group.sweep(8));
+            }
+            assert!(bucket[0].evt_gone);
+            // The gone node's frames were consumed all the same.
+            let mut byte = [0u8; 1];
+            let unread = gone_probe.peek(&mut byte);
+            assert!(
+                matches!(&unread, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+                "round {round}: the gone node's link was not drained: {unread:?}"
+            );
+            assert!(!bucket[0].done(), "draining must not close the link");
+            assert_eq!(batches(&live_rx), [vec![(1, 100 + round)]]);
+        }
     }
 }

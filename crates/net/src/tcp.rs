@@ -18,6 +18,10 @@
 //! [`crate::reactor`] — multiplexes **all** streams, so total cluster
 //! threads are `n + DEFAULT_REACTOR_THREADS`. This is what lets a single
 //! host run the n = 32–64 meshes the paper's scalability figures need.
+//! Each reactor thread owns every stream of the nodes assigned to it
+//! (node `i` → thread `i % k`) and hands a node everything it decoded for
+//! it in one sweep as a single batch event, so a node thread wakes once
+//! per sweep rather than once per inbound message.
 //!
 //! A slow or dead peer never stalls the protocol thread, and there is **no
 //! back-pressure**: frames addressed to a stalled peer buffer in that peer's
@@ -198,7 +202,7 @@ where
         // of which node parked it — address outboxes the same way.
         let mut streams = Vec::new();
         let mut writers: Vec<Option<Sender<Arc<Vec<u8>>>>> = vec![None; n * n];
-        let mut conns: Vec<Conn<M>> = Vec::new();
+        let mut conns: Vec<Conn> = Vec::new();
         for (i, row) in mesh.into_iter().enumerate() {
             for (j, stream) in row.into_iter().enumerate() {
                 let Some(stream) = stream else {
@@ -208,17 +212,17 @@ where
                 let (wtx, wrx) = channel::<Arc<Vec<u8>>>();
                 writers[i * n + j] = Some(wtx);
                 stream.set_nonblocking(true)?;
-                conns.push(Conn::new(
-                    stream,
-                    NodeId(j as u32),
-                    NodeId(i as u32),
-                    wrx,
-                    wiring.evt_senders[i].clone(),
-                ));
+                conns.push(Conn::new(stream, NodeId(j as u32), NodeId(i as u32), wrx));
             }
         }
-        let reactor = (!conns.is_empty())
-            .then(|| Reactor::spawn(conns, DEFAULT_REACTOR_THREADS, MAX_BATCH_FRAMES));
+        let reactor = (!conns.is_empty()).then(|| {
+            Reactor::spawn(
+                conns,
+                &wiring.evt_senders,
+                DEFAULT_REACTOR_THREADS,
+                MAX_BATCH_FRAMES,
+            )
+        });
 
         let writers_of = |i: usize| writers[i * n..(i + 1) * n].to_vec();
         let loopback = |i: usize| wiring.evt_senders[i].clone();
