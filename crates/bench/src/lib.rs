@@ -5,9 +5,10 @@
 //! in `src/bin/`; this library holds the shared machinery, which is a thin
 //! layer over `fireledger-runtime`: an [`ExperimentConfig`] is translated
 //! into a `ClusterBuilder` + `Scenario` pair and executed on the
-//! [`Simulator`] runtime (or, for the matrix binary, on [`Threads`] too).
-//! Results are emitted both as human-readable rows and as machine-readable
-//! `JSON:` lines built from the unified [`RunReport`].
+//! [`Simulator`] runtime. Results are emitted both as human-readable rows
+//! and as machine-readable `JSON:` lines built from the unified
+//! [`RunReport`]. Real-socket numbers come from the repo benchmark
+//! (`benchmark/`), not from here.
 //!
 //! Absolute numbers depend on the simulator's calibration, not on the
 //! authors' AWS testbed, so the quantities to compare against the paper are
@@ -74,24 +75,8 @@ pub struct ExperimentConfig {
     /// RNG seed.
     pub seed: u64,
     /// Base-timeout override in milliseconds; `None` derives the timeout
-    /// from the topology (the sweep binaries' behaviour). Cross-runtime
-    /// identity checks pin a generous value here so no wall-clock timeout
-    /// can alter a real-time run's decision sequence.
+    /// from the topology (the sweep binaries' behaviour).
     pub base_timeout_ms: Option<u64>,
-    /// Width of the parallel crypto pipeline
-    /// ([`ClusterBuilder::crypto_threads`]); 1 = inline. Affects real-time
-    /// runtimes only — the simulator always executes crypto inline.
-    pub crypto_threads: usize,
-    /// Aggregate rate (tx/s) of *probe* transactions injected open-loop on
-    /// top of the saturated filler load; 0 = none. Probes are what give the
-    /// real-time runtimes measurable submit→commit latency percentiles —
-    /// the filler the proposers generate themselves has no submit time.
-    pub probe_rate: f64,
-    /// Durable-store configuration (`ClusterBuilder::with_store`): every
-    /// node persists its ledger under `dir/node-<i>`, syncing per the
-    /// policy. `None` — the default — runs volatile, which keeps the
-    /// simulator rows of the trajectory byte-identical across sweeps.
-    pub store: Option<(std::path::PathBuf, FsyncPolicy)>,
     /// Client-RPC ingress load ([`Scenario::with_ingress`]): an open-loop
     /// fleet submitting through the §11 front end and admission gates, so
     /// the run's `RunReport` carries a populated `ingress` section
@@ -115,9 +100,6 @@ impl ExperimentConfig {
             byzantine: 0,
             seed: 1,
             base_timeout_ms: None,
-            crypto_threads: 1,
-            probe_rate: 0.0,
-            store: None,
             ingress: None,
         }
     }
@@ -128,30 +110,6 @@ impl ExperimentConfig {
     /// report then carries a populated `ingress` section.
     pub fn with_ingress(mut self, load: IngressLoad) -> Self {
         self.ingress = Some(load);
-        self
-    }
-
-    /// Gives every node a durable store under `dir` (see
-    /// [`ClusterBuilder::with_store`]) — the knob behind the trajectory's
-    /// fsync-policy sweep.
-    pub fn with_store(mut self, dir: impl Into<std::path::PathBuf>, policy: FsyncPolicy) -> Self {
-        self.store = Some((dir.into(), policy));
-        self
-    }
-
-    /// Sets the parallel-crypto-pipeline width (see
-    /// [`ClusterBuilder::crypto_threads`]).
-    pub fn with_crypto_threads(mut self, threads: usize) -> Self {
-        self.crypto_threads = threads.max(1);
-        self
-    }
-
-    /// Injects an open-loop probe stream at `rate_per_sec` (σ-sized
-    /// transactions, round-robin across nodes) on top of the saturated
-    /// load, so real-time runs report real submit→commit latency
-    /// percentiles.
-    pub fn with_probe_rate(mut self, rate_per_sec: f64) -> Self {
-        self.probe_rate = rate_per_sec;
         self
     }
 
@@ -206,9 +164,6 @@ impl ExperimentConfig {
         let mut scenario = Scenario::new(self.network.clone())
             .with_seed(self.seed)
             .run_for(Duration::from_millis(self.duration_ms));
-        if self.probe_rate > 0.0 {
-            scenario = scenario.open_loop(self.probe_rate, self.tx_size);
-        }
         scenario = match self.network.as_str() {
             "geo" => scenario.geo(),
             "ideal" => scenario.ideal(),
@@ -236,70 +191,43 @@ impl ExperimentConfig {
             .with_base_timeout(timeout)
     }
 
-    fn builder<P: ClusterProtocol>(&self) -> ClusterBuilder<P>
-    where
-        P::Msg: fireledger_types::WireSize
-            + fireledger_types::WireCodec
-            + Clone
-            + Send
-            + Sync
-            + std::fmt::Debug
-            + 'static,
-    {
-        let mut builder = ClusterBuilder::<P>::new(self.protocol_params())
+    fn builder<P: ClusterProtocol>(&self) -> ClusterBuilder<P> {
+        ClusterBuilder::<P>::new(self.protocol_params())
             .with_seed(self.seed)
             .with_last_k(self.byzantine, NodeRole::Equivocate)
-            .crypto_threads(self.crypto_threads);
-        if let Some((dir, policy)) = &self.store {
-            builder = builder.with_store(dir.clone(), *policy);
-        }
-        builder
     }
 
-    /// Runs the experiment on `runtime` with an optional CPU-model override.
-    pub fn run_on<R: Runtime>(&self, runtime: &R, cost: Option<CostModel>) -> ExperimentResult {
-        self.run_full_on(runtime, cost).0
-    }
-
-    /// Like [`ExperimentConfig::run_on`], but also returns every node's
-    /// delivered blocks — the input to cross-runtime ledger-identity checks
-    /// ([`check_delivery_prefixes`]).
-    pub fn run_full_on<R: Runtime>(
-        &self,
-        runtime: &R,
-        cost: Option<CostModel>,
-    ) -> (ExperimentResult, Vec<Vec<Delivery>>) {
+    /// Runs the experiment on the simulator with an optional CPU-model
+    /// override.
+    fn run_sim(&self, cost: Option<CostModel>) -> ExperimentResult {
         let mut scenario = self.scenario();
         if let Some(cost) = cost {
             scenario = scenario.with_cost(cost);
         }
-        let (report, deliveries) = match self.system {
-            System::Flo => runtime.run_full(&self.builder::<FloCluster>(), &scenario),
-            System::Wrb => runtime.run_full(&self.builder::<Worker>(), &scenario),
-            System::Pbft => runtime.run_full(&self.builder::<PbftNode>(), &scenario),
-            System::HotStuff => runtime.run_full(&self.builder::<HotStuffNode>(), &scenario),
-            System::BftSmart => runtime.run_full(&self.builder::<BftSmartNode>(), &scenario),
+        let report = match self.system {
+            System::Flo => Simulator.run(&self.builder::<FloCluster>(), &scenario),
+            System::Wrb => Simulator.run(&self.builder::<Worker>(), &scenario),
+            System::Pbft => Simulator.run(&self.builder::<PbftNode>(), &scenario),
+            System::HotStuff => Simulator.run(&self.builder::<HotStuffNode>(), &scenario),
+            System::BftSmart => Simulator.run(&self.builder::<BftSmartNode>(), &scenario),
         }
         .expect("experiment configuration must be runnable");
-        (
-            ExperimentResult {
-                config: self.clone(),
-                report,
-            },
-            deliveries,
-        )
+        ExperimentResult {
+            config: self.clone(),
+            report,
+        }
     }
 
     /// Runs the experiment on the simulator with the default machine model
     /// (m5.xlarge).
     pub fn run(&self) -> ExperimentResult {
-        self.run_on(&Simulator, None)
+        self.run_sim(None)
     }
 
     /// Overrides the CPU model (e.g. `CostModel::c5_4xlarge()` for the §7.6
     /// comparison).
     pub fn run_with_cost(&self, cost: CostModel) -> ExperimentResult {
-        self.run_on(&Simulator, Some(cost))
+        self.run_sim(Some(cost))
     }
 
     /// The nodes metrics are averaged over (correct nodes only). Crashed and
@@ -336,7 +264,7 @@ impl ExperimentResult {
                 "{{\"config\":{{\"system\":\"{:?}\",\"n\":{},\"workers\":{},",
                 "\"batch\":{},\"tx_size\":{},\"network\":\"{}\",\"duration_ms\":{},",
                 "\"crashed\":{},\"byzantine\":{},\"seed\":{},",
-                "\"base_timeout_ms\":{},\"crypto_threads\":{}}},\"report\":{}}}"
+                "\"base_timeout_ms\":{}}},\"report\":{}}}"
             ),
             self.config.system,
             self.config.n,
@@ -351,7 +279,6 @@ impl ExperimentResult {
             self.config
                 .base_timeout_ms
                 .map_or("null".to_string(), |ms| ms.to_string()),
-            self.config.crypto_threads,
             self.report.to_json(),
         )
     }

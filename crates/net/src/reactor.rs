@@ -3,8 +3,8 @@
 //!
 //! A reader and a writer thread per stream would cost O(n²) threads
 //! cluster-wide and cap realistic cluster sizes in the single digits (the
-//! engine PR 10 replaced; its before/after rows are in
-//! `BENCH_throughput.json`). Instead, [`DEFAULT_REACTOR_THREADS`] **reactor
+//! engine this one replaced; `tests/tests/scale_matrix.rs` pins the O(n)
+//! count). Instead, [`DEFAULT_REACTOR_THREADS`] **reactor
 //! threads** drive the mesh with nonblocking I/O, partitioned **by local
 //! node**: every connection of node `i` belongs to thread `i % k`:
 //!

@@ -112,9 +112,15 @@ pub struct BuildContext {
 /// | [`PbftNode`]      | classical PBFT                             |
 /// | [`HotStuffNode`]  | chained HotStuff                           |
 /// | [`BftSmartNode`]  | BFT-SMaRt-style pipelined ordering         |
-pub trait ClusterProtocol: Protocol + Sized + Send + 'static
-where
-    Self::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
+///
+/// The message bounds sit on the supertrait, not in a `where` clause, so
+/// every `P: ClusterProtocol` bound implies them and generic code never
+/// restates them.
+pub trait ClusterProtocol:
+    Protocol<Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static>
+    + Sized
+    + Send
+    + 'static
 {
     /// Short machine-readable protocol name, used in [`crate::RunReport`]s.
     const NAME: &'static str;
@@ -368,11 +374,7 @@ pub struct ClusterBuilder<P> {
     _protocol: PhantomData<fn() -> P>,
 }
 
-impl<P> ClusterBuilder<P>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+impl<P: ClusterProtocol> ClusterBuilder<P> {
     /// Starts a builder for an `params.n()`-node cluster with simulated
     /// (cheap) signatures, the accept-all validity predicate, and every node
     /// correct.

@@ -59,17 +59,17 @@ pub use fireledger_net::DEFAULT_REACTOR_THREADS;
 pub use ingress::{ClientFleet, ClusterIngress, IngressLoad, PayloadKind};
 pub use preverify::FloPreVerifier;
 pub use report::{ExecutionReport, IngressLaneReport, IngressReport, NodeDeliveries, RunReport};
-pub use run::{check_delivery_prefixes, CatchUp, Runtime, Simulator, Tcp, Threads};
+pub use run::{check_delivery_prefixes, Runtime, Simulator, Tcp, Threads};
 pub use scenario::{FaultEvent, Scenario, Topology, Workload};
 
 /// Everything a typical experiment needs, re-exported for
 /// `use fireledger_runtime::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        check_delivery_prefixes, CatchUp, ClusterBuilder, ClusterProtocol, ExecutionReport,
-        FaultEvent, FloCluster, IngressLaneReport, IngressLoad, IngressReport, NodeDeliveries,
-        NodeRole, PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, Threads, Topology,
-        Workload, DEFAULT_REACTOR_THREADS,
+        check_delivery_prefixes, ClusterBuilder, ClusterProtocol, ExecutionReport, FaultEvent,
+        FloCluster, IngressLaneReport, IngressLoad, IngressReport, NodeDeliveries, NodeRole,
+        PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, Threads, Topology, Workload,
+        DEFAULT_REACTOR_THREADS,
     };
     pub use fireledger::{AcceptAll, ClusterNode, FloNode, Worker};
     pub use fireledger_baselines::{BftSmartNode, HotStuffNode, PbftNode};

@@ -308,10 +308,9 @@ pub struct RunReport {
     /// runtime-owned helper (socket engine, pre-verify stages, fault delay
     /// line, RPC accept loops), snapshotted just before shutdown. `0` on
     /// `"sim"` (inline, nothing to count). This is the measurement behind
-    /// the TCP reactor's O(n) scaling claim: on the reactor engine a
-    /// fault-free, ingress-free cluster reports `n + reactor_threads`,
-    /// versus `n + 2n(n−1)` on the legacy thread-per-peer engine. Unit:
-    /// threads (count).
+    /// the TCP reactor's O(n) scaling claim: a fault-free, ingress-free
+    /// cluster reports `n + reactor_threads`, with nothing per socket.
+    /// Unit: threads (count).
     pub threads: usize,
     /// Length of the measurement window (run duration minus warm-up).
     /// Unit: seconds — simulated on `"sim"`, wall-clock on `"threads"` /

@@ -27,11 +27,8 @@ use crate::scenario::Scenario;
 use fireledger::Availability;
 use fireledger_net::RealtimeCluster;
 use fireledger_sim::{Adversary, LateJoinAdversary, PlanAdversary, SimTime, Simulation};
-use fireledger_types::{
-    Delivery, DiskFault, Error, FaultPlan, NodeId, Result, Transaction, WireCodec, WireSize,
-};
+use fireledger_types::{Delivery, DiskFault, Error, FaultPlan, NodeId, Result, Transaction};
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -62,21 +59,18 @@ pub trait Runtime {
 
     /// Builds the cluster, runs the scenario to completion, and returns the
     /// report together with every node's delivered blocks in delivery order.
-    fn run_full<P>(
+    fn run_full<P: ClusterProtocol>(
         &self,
         cluster: &ClusterBuilder<P>,
         scenario: &Scenario,
-    ) -> Result<(RunReport, Vec<Vec<Delivery>>)>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static;
+    ) -> Result<(RunReport, Vec<Vec<Delivery>>)>;
 
     /// Builds the cluster and runs the scenario to completion.
-    fn run<P>(&self, cluster: &ClusterBuilder<P>, scenario: &Scenario) -> Result<RunReport>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    {
+    fn run<P: ClusterProtocol>(
+        &self,
+        cluster: &ClusterBuilder<P>,
+        scenario: &Scenario,
+    ) -> Result<RunReport> {
         self.run_full(cluster, scenario).map(|(report, _)| report)
     }
 }
@@ -84,11 +78,10 @@ pub trait Runtime {
 /// The nodes to average rate metrics over: correct by role and not faulted
 /// (crashed or crash-recovered) by the scenario or its fault plan. A
 /// late-join node is excluded too — it was down for most of the window.
-fn measured_nodes<P>(cluster: &ClusterBuilder<P>, scenario: &Scenario) -> Vec<NodeId>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+fn measured_nodes<P: ClusterProtocol>(
+    cluster: &ClusterBuilder<P>,
+    scenario: &Scenario,
+) -> Vec<NodeId> {
     let faulted = scenario.faulted_nodes();
     let late = cluster.late_join().map(|(node, _)| node);
     cluster
@@ -103,11 +96,10 @@ where
 /// faults together must not schedule more than `f` faulty nodes. The
 /// builder re-checks its own half in `build()`; this check sees the union
 /// (a node that is both role-crashed and scenario-crashed counts once).
-fn validate_fault_budget<P>(cluster: &ClusterBuilder<P>, scenario: &Scenario) -> Result<()>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+fn validate_fault_budget<P: ClusterProtocol>(
+    cluster: &ClusterBuilder<P>,
+    scenario: &Scenario,
+) -> Result<()> {
     let mut faulty: HashSet<NodeId> = cluster
         .roles()
         .iter()
@@ -147,8 +139,8 @@ where
 /// The flip side is that a scenario with crashed or Byzantine nodes can
 /// legitimately produce a node with blocks in one run and none in the
 /// other, which this function reports as a divergence. Compare fault-free
-/// runs (as `tests/tests/runtime_equivalence.rs` and the `protocol_matrix`
-/// binary do), or restrict the slices to the correct nodes first.
+/// runs (as `tests/tests/runtime_equivalence.rs` does), or restrict the
+/// slices to the correct nodes first.
 pub fn check_delivery_prefixes(
     a: &[Vec<Delivery>],
     b: &[Vec<Delivery>],
@@ -214,13 +206,9 @@ fn restart_schedule(scenario: &Scenario) -> Vec<(Duration, NodeId, Option<DiskFa
 /// range-fetches the prefix it missed instead of rejoining blind. (A node
 /// rebuilt from a durable store already starts syncing; this covers the
 /// volatile late joiner, which has nothing on disk either.)
-fn realtime_rebuilder<P>(
+fn realtime_rebuilder<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
-) -> std::sync::Arc<dyn Fn(NodeId) -> P + Send + Sync>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+) -> std::sync::Arc<dyn Fn(NodeId) -> P + Send + Sync> {
     let inner = cluster.rebuilder();
     match cluster.late_join() {
         None => inner,
@@ -235,11 +223,7 @@ where
 }
 
 /// The nodes to spawn dormant (late join) on a real-time runtime.
-fn dormant_nodes<P>(cluster: &ClusterBuilder<P>) -> Vec<NodeId>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+fn dormant_nodes<P: ClusterProtocol>(cluster: &ClusterBuilder<P>) -> Vec<NodeId> {
     cluster
         .late_join()
         .map(|(node, _)| node)
@@ -250,16 +234,12 @@ where
 /// Spawns `nodes` on a real-time transport — the socket mesh when
 /// `sockets`, in-process channels otherwise — with the builder's pre-verify
 /// stage, rebuild hook and dormant late joiner.
-fn spawn_realtime<P>(
+fn spawn_realtime<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     mut nodes: Vec<P>,
     faults: Option<FaultPlan>,
     sockets: bool,
-) -> Result<RealtimeCluster<P::Msg>>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+) -> Result<RealtimeCluster<P::Msg>> {
     // With the parallel crypto pipeline enabled, install the protocol's
     // pre-verify stage so inbound messages are validated off-loop, and
     // tell the nodes their ingress is pre-verified.
@@ -311,15 +291,11 @@ fn delivery_counters(deliveries: &[Vec<Delivery>], times_secs: &[Vec<f64>]) -> V
 /// (`ExecShared::finish`), so stage-thread lag at shutdown never
 /// under-reports a run. All-zero, `enabled: false` when the cluster ran
 /// without [`ClusterBuilder::with_execution`].
-fn execution_section<P>(
+fn execution_section<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     measured: &[NodeId],
     window_secs: f64,
-) -> ExecutionReport
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+) -> ExecutionReport {
     let Some(shards) = cluster.exec_shards() else {
         return ExecutionReport::default();
     };
@@ -360,15 +336,11 @@ impl Runtime for Simulator {
         "sim"
     }
 
-    fn run_full<P>(
+    fn run_full<P: ClusterProtocol>(
         &self,
         cluster: &ClusterBuilder<P>,
         scenario: &Scenario,
-    ) -> Result<(RunReport, Vec<Vec<Delivery>>)>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    {
+    ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
         validate_fault_budget(cluster, scenario)?;
         // Always an inline crypto pool: simulated time charges the modelled
         // crypto cost, and determinism requires results independent of any
@@ -590,17 +562,13 @@ enum TimelineEvent {
 /// cluster was spawned on. Link faults and partitions are *not* driven from
 /// here: they were compiled into the cluster's link shim at spawn time; this
 /// timeline carries only the node-level events.
-fn drive_realtime<P>(
+fn drive_realtime<P: ClusterProtocol>(
     running: RealtimeCluster<P::Msg>,
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
     runtime_name: &str,
     ingress: Option<std::sync::Arc<ClusterIngress>>,
-) -> (RunReport, Vec<Vec<Delivery>>)
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+) -> (RunReport, Vec<Vec<Delivery>>) {
     // Sleeping towards a deadline is replaced by short stepped waits when
     // an ingress fleet rides the run: each ~2 ms step serves due clients
     // and feeds observed deliveries back into the commit accounting.
@@ -884,16 +852,12 @@ fn realtime_ingress(scenario: &Scenario, n: usize) -> Option<std::sync::Arc<Clus
 /// The body of [`Threads`] and [`Tcp`]: builds the cluster, spawns it on
 /// the socket mesh when `sockets` (channels otherwise), serves the
 /// scenario's ingress, and drives it to completion.
-fn run_realtime<P>(
+fn run_realtime<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
     runtime_name: &str,
     sockets: bool,
-) -> Result<(RunReport, Vec<Vec<Delivery>>)>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
     validate_fault_budget(cluster, scenario)?;
     let nodes = cluster.build()?;
     // With execution enabled, every shard gets a dedicated stage thread so
@@ -937,15 +901,11 @@ impl Runtime for Threads {
         "threads"
     }
 
-    fn run_full<P>(
+    fn run_full<P: ClusterProtocol>(
         &self,
         cluster: &ClusterBuilder<P>,
         scenario: &Scenario,
-    ) -> Result<(RunReport, Vec<Vec<Delivery>>)>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    {
+    ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
         run_realtime(cluster, scenario, self.name(), false)
     }
 }
@@ -966,126 +926,11 @@ impl Runtime for Tcp {
         "tcp"
     }
 
-    fn run_full<P>(
+    fn run_full<P: ClusterProtocol>(
         &self,
         cluster: &ClusterBuilder<P>,
         scenario: &Scenario,
-    ) -> Result<(RunReport, Vec<Vec<Delivery>>)>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    {
+    ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
         run_realtime(cluster, scenario, self.name(), true)
-    }
-}
-
-/// Timing of one late-join catch-up fetch, measured by
-/// [`Threads::measure_catch_up`] / [`Tcp::measure_catch_up`].
-///
-/// The window starts the instant the dormant node is restarted (which
-/// happens the moment a reference node's ledger reaches the join round) and
-/// ends when the late node's own delivery log reaches that round — so it
-/// covers exactly the range fetch of the missed prefix, not the live tail
-/// the node keeps delivering afterwards.
-#[derive(Clone, Copy, Debug)]
-pub struct CatchUp {
-    /// Rounds the late node had to fetch (the builder's join round).
-    pub gap_rounds: u64,
-    /// Wall-clock seconds from its restart to its `gap_rounds`-th delivery.
-    pub fetch_secs: f64,
-}
-
-impl CatchUp {
-    /// Fetched blocks per wall-clock second over the catch-up window.
-    pub fn blocks_per_sec(&self) -> f64 {
-        self.gap_rounds as f64 / self.fetch_secs.max(1e-9)
-    }
-}
-
-/// Spawns `cluster` (which must carry a [`ClusterBuilder::with_late_join`]
-/// node) with the late node dormant, waits for a reference ledger to reach
-/// the join round, restarts the late node, and times its range fetch of
-/// the missed prefix — on the socket mesh when `sockets`, on channels
-/// otherwise. `deadline` bounds the whole run (growing the reference ledger
-/// to the join round *plus* the fetch itself).
-fn measure_catch_up<P>(
-    cluster: &ClusterBuilder<P>,
-    deadline: Duration,
-    sockets: bool,
-) -> Result<CatchUp>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
-    let (late, gap) = cluster.late_join().ok_or_else(|| {
-        Error::Config("measure_catch_up needs ClusterBuilder::with_late_join".into())
-    })?;
-    let running = spawn_realtime(cluster, cluster.build()?, None, sockets)?;
-    let reference = (0..cluster.params().n() as u32)
-        .map(NodeId)
-        .find(|id| *id != late)
-        .expect("a late join needs at least one other node");
-    let start = Instant::now();
-    while (running.deliveries(reference).len() as u64) < gap {
-        if start.elapsed() > deadline {
-            running.shutdown();
-            return Err(Error::InvalidState(format!(
-                "catch-up: reference {reference} did not reach round {gap} within {deadline:?}"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let restart_at = Instant::now();
-    running.restart(late);
-    while (running.deliveries(late).len() as u64) < gap {
-        if start.elapsed() > deadline {
-            running.shutdown();
-            return Err(Error::InvalidState(format!(
-                "catch-up: late node {late} did not fetch {gap} rounds within {deadline:?}"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let fetch_secs = restart_at.elapsed().as_secs_f64();
-    running.shutdown();
-    Ok(CatchUp {
-        gap_rounds: gap,
-        fetch_secs,
-    })
-}
-
-impl Threads {
-    /// Measures a late-join catch-up fetch on the threaded runtime: spawns
-    /// `cluster` (which must carry a [`ClusterBuilder::with_late_join`]
-    /// node) with the late node dormant, waits for a reference ledger to
-    /// reach the join round, restarts the late node, and times its range
-    /// fetch of the missed prefix. `deadline` bounds the whole run.
-    pub fn measure_catch_up<P>(
-        &self,
-        cluster: &ClusterBuilder<P>,
-        deadline: Duration,
-    ) -> Result<CatchUp>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    {
-        measure_catch_up(cluster, deadline, false)
-    }
-}
-
-impl Tcp {
-    /// Measures a late-join catch-up fetch on the TCP runtime — the
-    /// socket-mesh counterpart of [`Threads::measure_catch_up`], so the
-    /// timed fetch exercises the `SyncMsg` wire format end to end.
-    pub fn measure_catch_up<P>(
-        &self,
-        cluster: &ClusterBuilder<P>,
-        deadline: Duration,
-    ) -> Result<CatchUp>
-    where
-        P: ClusterProtocol,
-        P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-    {
-        measure_catch_up(cluster, deadline, true)
     }
 }

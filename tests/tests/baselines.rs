@@ -7,16 +7,7 @@ use fireledger_runtime::prelude::*;
 use fireledger_sim::{SimConfig, Simulation};
 use std::time::Duration;
 
-fn builder<P: ClusterProtocol>(n: usize) -> ClusterBuilder<P>
-where
-    P::Msg: fireledger_types::WireSize
-        + fireledger_types::WireCodec
-        + Clone
-        + Send
-        + Sync
-        + std::fmt::Debug
-        + 'static,
-{
+fn builder<P: ClusterProtocol>(n: usize) -> ClusterBuilder<P> {
     ClusterBuilder::<P>::new(test_params(n, 1)).with_seed(2)
 }
 

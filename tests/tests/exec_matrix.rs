@@ -578,13 +578,11 @@ fn matrix_scenario(name: &str, plan: Option<FaultPlan>) -> Scenario {
 /// executed state root after every round up to the deepest round *every*
 /// node of that stream has executed. Asserts intra-cluster identity (all
 /// nodes agree on every per-round root) before returning node 0's trace.
-fn exec_root_trace<P, R>(runtime: &R, workers: usize, plan: Option<FaultPlan>) -> Vec<Vec<Hash>>
-where
-    P: ClusterProtocol,
-    P::Msg:
-        fireledger_types::WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-    R: Runtime,
-{
+fn exec_root_trace<P: ClusterProtocol, R: Runtime>(
+    runtime: &R,
+    workers: usize,
+    plan: Option<FaultPlan>,
+) -> Vec<Vec<Hash>> {
     let builder = ClusterBuilder::<P>::new(matrix_params(workers))
         .with_seed(7)
         // The trace below reads the root of *every* round after the run,
@@ -660,12 +658,11 @@ fn assert_trace_prefixes(a: &[Vec<Hash>], b: &[Vec<Hash>], context: &str) {
     }
 }
 
-fn assert_root_identity<P>(protocol: &str, workers: usize, plan: Option<FaultPlan>)
-where
-    P: ClusterProtocol,
-    P::Msg:
-        fireledger_types::WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-{
+fn assert_root_identity<P: ClusterProtocol>(
+    protocol: &str,
+    workers: usize,
+    plan: Option<FaultPlan>,
+) {
     let sim = exec_root_trace::<P, _>(&Simulator, workers, plan.clone());
     let threads = exec_root_trace::<P, _>(&Threads, workers, plan.clone());
     let tcp = exec_root_trace::<P, _>(&Tcp, workers, plan);

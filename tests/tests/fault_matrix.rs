@@ -21,7 +21,7 @@
 
 use fireledger_runtime::catalog;
 use fireledger_runtime::prelude::*;
-use fireledger_types::{Error, WireCodec, WireSize};
+use fireledger_types::Error;
 use std::time::Duration;
 
 fn params() -> ProtocolParams {
@@ -314,11 +314,7 @@ fn fault_budget_is_enforced_across_builder_and_plan() {
 
 /// The generic runner is kept honest: any `ClusterProtocol` runs under a
 /// plan, not just FLO.
-fn baseline_under_plan<P>(name: &str)
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-{
+fn baseline_under_plan<P: ClusterProtocol>(name: &str) {
     let plan = catalog::delay_reorder(ms(1), ms(3), 0.25);
     let scenario = scenario_for(&plan, ms(600));
     let report = Simulator

@@ -12,8 +12,6 @@ use fireledger_integration_tests::test_params;
 use fireledger_runtime::catalog;
 use fireledger_runtime::prelude::*;
 use fireledger_runtime::IngressLoad;
-use fireledger_types::{WireCodec, WireSize};
-use std::fmt;
 use std::time::Duration;
 
 fn ms(n: u64) -> Duration {
@@ -41,12 +39,10 @@ fn soak_scenario(n: usize) -> Scenario {
 }
 
 /// Runs the soak on `rt` and asserts the admission contract.
-fn assert_zero_accepted_then_lost<P, R>(rt: R, cluster: ClusterBuilder<P>) -> RunReport
-where
-    R: Runtime,
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+fn assert_zero_accepted_then_lost<P: ClusterProtocol, R: Runtime>(
+    rt: R,
+    cluster: ClusterBuilder<P>,
+) -> RunReport {
     let n = cluster.params().cluster.n;
     let scenario = soak_scenario(n);
     let (report, deliveries) = rt.run_full(&cluster, &scenario).expect("ingress soak");

@@ -22,7 +22,7 @@ use fireledger_crypto::{CryptoPool, SimKeyStore};
 use fireledger_net::RealtimeCluster;
 use fireledger_runtime::prelude::*;
 use fireledger_runtime::{BuildContext, FloPreVerifier};
-use fireledger_types::{Delivery, Signature, WireCodec, WireSize};
+use fireledger_types::{Delivery, Signature};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,12 +41,10 @@ fn scenario() -> Scenario {
         .with_warmup(Duration::ZERO)
 }
 
-fn deliveries_on<P, R>(runtime: &R, crypto_threads: usize) -> Vec<Vec<Delivery>>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-    R: Runtime,
-{
+fn deliveries_on<P: ClusterProtocol, R: Runtime>(
+    runtime: &R,
+    crypto_threads: usize,
+) -> Vec<Vec<Delivery>> {
     runtime
         .run_full(
             &ClusterBuilder::<P>::new(params())
@@ -58,11 +56,7 @@ where
         .1
 }
 
-fn assert_pipeline_transparent<P>(protocol: &str)
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-{
+fn assert_pipeline_transparent<P: ClusterProtocol>(protocol: &str) {
     // The simulator is always inline; the real-time runs get the wide pool
     // *and* the pre-verify stage. Every pair must agree on ledger content.
     let sim = deliveries_on::<P, _>(&Simulator, 4);

@@ -15,7 +15,6 @@
 //! framing bug, which is exactly what this test exists to catch.
 
 use fireledger_runtime::prelude::*;
-use fireledger_types::{WireCodec, WireSize};
 use std::time::Duration;
 
 fn params() -> ProtocolParams {
@@ -33,12 +32,7 @@ fn scenario() -> Scenario {
         .with_warmup(Duration::ZERO)
 }
 
-fn deliveries_on<P, R>(runtime: &R) -> Vec<Vec<Delivery>>
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-    R: Runtime,
-{
+fn deliveries_on<P: ClusterProtocol, R: Runtime>(runtime: &R) -> Vec<Vec<Delivery>> {
     runtime
         .run_full(
             &ClusterBuilder::<P>::new(params()).with_seed(7),
@@ -48,11 +42,7 @@ where
         .1
 }
 
-fn assert_identical_ledgers<P>(protocol: &str)
-where
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + std::fmt::Debug + 'static,
-{
+fn assert_identical_ledgers<P: ClusterProtocol>(protocol: &str) {
     let sim = deliveries_on::<P, _>(&Simulator);
     let threads = deliveries_on::<P, _>(&Threads);
     let tcp = deliveries_on::<P, _>(&Tcp);

@@ -15,10 +15,7 @@ use fireledger_crypto::{hash_header, SimKeyStore};
 use fireledger_integration_tests::test_params;
 use fireledger_runtime::prelude::*;
 use fireledger_sim::{SimConfig, Simulation};
-use fireledger_types::{
-    Action, DetRng, Hash, Outbox, Protocol, SyncMsg, TimerId, WireCodec, WireSize,
-};
-use std::fmt;
+use fireledger_types::{Action, DetRng, Hash, Outbox, Protocol, SyncMsg, TimerId};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,16 +26,12 @@ fn ms(n: u64) -> Duration {
 /// Runs `cluster` with node `n-1` late-joining once the reference node has
 /// delivered `gap` blocks, then asserts the late node caught up past the
 /// join point with a ledger byte-identical to the reference's.
-fn assert_late_join_catches_up<P, R>(
+fn assert_late_join_catches_up<P: ClusterProtocol, R: Runtime>(
     rt: R,
     cluster: ClusterBuilder<P>,
     gap: u64,
     duration: Duration,
-) where
-    R: Runtime,
-    P: ClusterProtocol,
-    P::Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static,
-{
+) {
     let n = cluster.params().cluster.n;
     let late = NodeId(n as u32 - 1);
     let scenario = Scenario::new("late-join")
