@@ -25,9 +25,9 @@
 //! [`TxPool::take_batch`] supports that through the `fill` parameter.
 
 use fireledger_types::{Bytes, FillOps, Transaction, TxOp};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of admission shards. Eight striped locks are plenty for the
 /// client-thread counts the runtimes use while keeping the ticket-order
@@ -35,12 +35,49 @@ use std::sync::Mutex;
 /// transaction).
 pub const SHARDS: usize = 8;
 
-/// One admission shard: a FIFO of `(ticket, transaction)` plus the shard's
-/// slice of the duplicate-suppression set.
+/// One admission shard: a FIFO of `(ticket, transaction)` plus the
+/// duplicate-suppression index of the clients striped to it — every
+/// `(client, seq)` the shard ever accepted or saw decided, kept per client
+/// as a [`Seqs`] so a dense sequence stream costs one entry, not one per
+/// transaction.
 #[derive(Debug, Default)]
 struct Shard {
     queue: VecDeque<(u64, Transaction)>,
-    known: HashSet<(u64, u64)>,
+    known: HashMap<u64, Seqs>,
+}
+
+/// The exact set of one client's known sequence numbers: every seq below
+/// `floor`, plus the sparse ones in `above`.
+///
+/// Clients number their transactions densely (fillers always do), so the
+/// common insert is `seq == floor`: a counter bump that also absorbs any
+/// run waiting right behind it in `above`. Seqs a pool never sees (ω
+/// workers splitting one client's stream) keep the seqs past them in
+/// `above`, one entry each — no more than a set of every id would hold.
+#[derive(Debug, Default)]
+struct Seqs {
+    floor: u64,
+    above: HashSet<u64>,
+}
+
+impl Seqs {
+    /// Records `seq`; false when it was already known.
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq < self.floor {
+            return false;
+        }
+        // `floor` counts the known prefix, so it stops at `u64::MAX` (a
+        // prefix through `u64::MAX` would wrap it to 0); that last seq lives
+        // in `above` like any other. Below it, `floor` is never in `above`.
+        if seq != self.floor || seq == u64::MAX {
+            return self.above.insert(seq);
+        }
+        self.floor += 1;
+        while self.floor != u64::MAX && self.above.remove(&self.floor) {
+            self.floor += 1;
+        }
+        true
+    }
 }
 
 /// State owned by the (single) batch assembler: the synthetic-filler
@@ -82,9 +119,9 @@ fn filler_op_payload(client: u64, seq: u64, ops: FillOps) -> Bytes {
     let accounts = ops.accounts.max(1);
     let hot_set = 4u64.min(accounts);
     if seq.is_multiple_of(2) {
-        // The disjoint keyspace is deliberately bounded: per-round state
-        // roots cost O(state size), so an ever-growing state would make
-        // saturated runs quadratic in run length.
+        // The disjoint keyspace is deliberately bounded: a fixed keyspace
+        // keeps a saturated run's working set (state map, root paths) the
+        // same size however long it runs.
         let key = if hot { h % hot_set } else { 64 + (h % 256) };
         TxOp::KvPut {
             key,
@@ -202,7 +239,7 @@ impl TxPool {
     pub fn submit(&self, tx: Transaction) -> bool {
         let id = tx.id();
         let mut shard = self.shards[shard_of(id)].lock().expect("txpool shard");
-        if !shard.known.insert(id) {
+        if !shard.known.entry(id.0).or_default().insert(id.1) {
             return false;
         }
         // The ticket is drawn under the shard lock, so within a shard the
@@ -300,34 +337,63 @@ impl TxPool {
 
     /// Removes transactions that were just decided in somebody's block, so the
     /// local node does not re-propose them.
+    ///
+    /// Every decided id enters its shard's index, so late duplicates of it
+    /// stay rejected. Only a shard whose queue is non-empty at that moment
+    /// is filtered afterwards; under filler load every queue is empty and
+    /// the whole call is one index insert per transaction.
     pub fn remove_included<'a>(&self, txs: impl IntoIterator<Item = &'a Transaction>) {
-        // Group the decided ids by shard so each shard is locked once.
-        let mut by_shard: [Vec<(u64, u64)>; SHARDS] = Default::default();
-        let mut any = false;
+        // Consecutive transactions of a block mostly share a client, hence
+        // a shard: keep its lock until the shard changes.
+        let mut held: Option<(usize, MutexGuard<'_, Shard>)> = None;
+        let mut queued: Vec<(usize, (u64, u64))> = Vec::new();
         for tx in txs {
-            by_shard[shard_of(tx.id())].push(tx.id());
-            any = true;
+            let id = tx.id();
+            let i = shard_of(id);
+            let shard = match &mut held {
+                Some((j, shard)) if *j == i => shard,
+                _ => {
+                    held = None;
+                    &mut held
+                        .insert((i, self.shards[i].lock().expect("txpool shard")))
+                        .1
+                }
+            };
+            shard.known.entry(id.0).or_default().insert(id.1);
+            if !shard.queue.is_empty() {
+                queued.push((i, id));
+            }
         }
-        if !any {
+        drop(held);
+        if queued.is_empty() {
             return;
         }
+        // Ids entered the index above, so none of them can be admitted
+        // again; drop the ones already waiting in a queue.
+        queued.sort_unstable_by_key(|&(i, _)| i);
         let mut removed = 0usize;
-        for (shard, ids) in self.shards.iter().zip(&by_shard) {
-            if ids.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock().expect("txpool shard");
-            let ids: HashSet<(u64, u64)> = ids.iter().copied().collect();
+        for group in queued.chunk_by(|a, b| a.0 == b.0) {
+            let ids: HashSet<(u64, u64)> = group.iter().map(|&(_, id)| id).collect();
+            let mut shard = self.shards[group[0].0].lock().expect("txpool shard");
             let before = shard.queue.len();
             shard.queue.retain(|(_, t)| !ids.contains(&t.id()));
             removed += before - shard.queue.len();
-            // Keep `known` so late duplicates of decided transactions stay
-            // rejected.
-            shard.known.extend(ids);
         }
         if removed > 0 {
             self.pending.fetch_sub(removed, Ordering::AcqRel);
         }
+    }
+
+    /// The duplicate-suppression index's size across all shards: the
+    /// number of clients it tracks and of sparse seqs they hold past their
+    /// dense prefixes.
+    #[cfg(test)]
+    pub(crate) fn index_shape(&self) -> (usize, usize) {
+        self.shards.iter().fold((0, 0), |(clients, sparse), shard| {
+            let shard = shard.lock().expect("txpool shard");
+            let above: usize = shard.known.values().map(|s| s.above.len()).sum();
+            (clients + shard.known.len(), sparse + above)
+        })
     }
 }
 
@@ -471,6 +537,166 @@ mod tests {
         pool.submit(Transaction::zeroed(1, 0, 8));
         pool.remove_included(std::iter::empty());
         assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn seq_index_is_exact_at_the_top_of_the_range() {
+        let pool = TxPool::new(9);
+        let answers: Vec<bool> = [u64::MAX, u64::MAX, u64::MAX - 1, u64::MAX - 1]
+            .into_iter()
+            .map(|seq| pool.submit(Transaction::zeroed(3, seq, 8)))
+            .collect();
+        assert_eq!(answers, [true, false, true, false]);
+        // A dense prefix that runs into u64::MAX must not wrap its floor.
+        let mut seqs = Seqs {
+            floor: u64::MAX - 2,
+            above: HashSet::new(),
+        };
+        for seq in [u64::MAX - 2, u64::MAX - 1, u64::MAX] {
+            assert!(seqs.insert(seq), "{seq} accepted once");
+            assert!(!seqs.insert(seq), "{seq} rejected twice");
+        }
+        assert!(!seqs.insert(0));
+    }
+
+    #[test]
+    fn dense_stream_in_any_local_order_is_one_index_entry() {
+        let pool = TxPool::new(9);
+        // Each window of 8 seqs arrives back to front: seqs wait above the
+        // floor and are absorbed as each gap closes.
+        for window in 0..64u64 {
+            for seq in (window * 8..window * 8 + 8).rev() {
+                assert!(pool.submit(Transaction::zeroed(5, seq, 8)));
+            }
+        }
+        assert_eq!(pool.index_shape(), (1, 0));
+        let decided: Vec<Transaction> = pool.take_batch(512, 8, false);
+        pool.remove_included(decided.iter());
+        assert_eq!(pool.index_shape(), (1, 0));
+        assert!(!pool.submit(Transaction::zeroed(5, 511, 8)));
+        assert!(pool.submit(Transaction::zeroed(5, 512, 8)));
+    }
+
+    /// The pool's admission contract stated the plain way: one flat set of
+    /// every id ever accepted or decided, plus the FIFO queue.
+    #[derive(Default)]
+    struct FlatPool {
+        known: HashSet<(u64, u64)>,
+        queue: VecDeque<(u64, u64)>,
+    }
+
+    impl FlatPool {
+        fn submit(&mut self, id: (u64, u64)) -> bool {
+            let fresh = self.known.insert(id);
+            if fresh {
+                self.queue.push_back(id);
+            }
+            fresh
+        }
+
+        fn remove_included(&mut self, ids: &[(u64, u64)]) {
+            self.queue.retain(|id| !ids.contains(id));
+            self.known.extend(ids);
+        }
+    }
+
+    #[test]
+    fn seq_index_answers_exactly_like_a_flat_id_set() {
+        use fireledger_types::DetRng;
+        const CLIENTS: u64 = 6;
+        // One draw of a transaction id, each client with its own shape.
+        fn draw(rng: &mut DetRng, cursor: &mut [u64; CLIENTS as usize]) -> (u64, u64) {
+            let client = rng.gen_below(CLIENTS);
+            let next = &mut cursor[client as usize];
+            let seq = match client {
+                // Dense, with reordering ahead of the cursor and replays
+                // behind it.
+                0 | 1 => match rng.gen_below(10) {
+                    0..=5 => {
+                        *next += 1;
+                        *next - 1
+                    }
+                    6 | 7 => *next + rng.gen_below(8),
+                    _ => next.saturating_sub(rng.gen_below(8)),
+                },
+                // ω = 2 routing: this pool only sees every other seq, so
+                // nothing above the floor ever drains.
+                2 => {
+                    *next += 1;
+                    2 * rng.gen_below(*next) + 1
+                }
+                // Sparse seqs that fill gaps from both sides.
+                3 => rng.gen_below(512),
+                // The top of the range, where a naive floor wraps to 0.
+                4 => u64::MAX - rng.gen_below(6),
+                _ => rng.next_u64(),
+            };
+            (client, seq)
+        }
+        for seed in 0..32 {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut cursor = [0u64; CLIENTS as usize];
+            let pool = TxPool::new(u64::MAX);
+            let mut flat = FlatPool::default();
+            for step in 0..3_000 {
+                match rng.gen_below(10) {
+                    0..=4 => {
+                        let id = draw(&mut rng, &mut cursor);
+                        let tx = Transaction::zeroed(id.0, id.1, 8);
+                        assert_eq!(pool.submit(tx), flat.submit(id), "seed {seed} step {step}");
+                    }
+                    5..=7 => {
+                        // A decided block: fresh ids mixed with queued ones.
+                        let mut ids = Vec::new();
+                        for _ in 0..=rng.gen_below(16) {
+                            let queued = flat.queue.len() as u64;
+                            ids.push(if queued > 0 && rng.gen_below(3) == 0 {
+                                flat.queue[rng.gen_below(queued) as usize]
+                            } else {
+                                draw(&mut rng, &mut cursor)
+                            });
+                        }
+                        let txs: Vec<Transaction> = ids
+                            .iter()
+                            .map(|&(c, s)| Transaction::zeroed(c, s, 8))
+                            .collect();
+                        pool.remove_included(txs.iter());
+                        flat.remove_included(&ids);
+                    }
+                    _ => {
+                        let k = rng.gen_below(8) as usize;
+                        let got: Vec<(u64, u64)> = pool
+                            .take_batch(k, 8, false)
+                            .iter()
+                            .map(|t| t.id())
+                            .collect();
+                        let want: Vec<(u64, u64)> =
+                            flat.queue.drain(..k.min(flat.queue.len())).collect();
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                    }
+                }
+                assert_eq!(pool.len(), flat.queue.len(), "seed {seed} step {step}");
+            }
+            // Everything the flat set holds is rejected on resubmission.
+            for &(c, s) in &flat.known {
+                assert!(!pool.submit(Transaction::zeroed(c, s, 8)), "seed {seed}");
+            }
+            // A pool's floor cannot reach u64::MAX in a test (2^64 inserts),
+            // so drive one client's index from just below the top instead.
+            let base = u64::MAX - 64;
+            let mut seqs = Seqs {
+                floor: base,
+                above: HashSet::new(),
+            };
+            let mut flat: HashSet<u64> = HashSet::new();
+            for _ in 0..500 {
+                let seq = base + rng.gen_below(65);
+                let fresh = !flat.contains(&seq);
+                flat.insert(seq);
+                assert_eq!(seqs.insert(seq), fresh, "seed {seed} seq {seq}");
+            }
+            assert!((0..base).step_by(1 << 58).all(|seq| !seqs.insert(seq)));
+        }
     }
 
     #[test]

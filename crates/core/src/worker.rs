@@ -1774,6 +1774,29 @@ mod tests {
     }
 
     #[test]
+    fn saturated_run_keeps_one_index_entry_per_filler_client() {
+        // Every decided transaction enters each pool's duplicate index.
+        // Fillers are dense per (node, worker) client, so after 1 000 blocks
+        // of β = 100 the index is one entry per filler client and nothing
+        // sparse, not one entry per decided transaction (≥ 100 000).
+        let mut sim = Simulation::new(SimConfig::ideal(), cluster(4, 100));
+        for _ in 0..200 {
+            if sim.deliveries(NodeId(0)).len() >= 1_000 {
+                break;
+            }
+            sim.run_for(Duration::from_millis(100));
+        }
+        assert!(sim.deliveries(NodeId(0)).len() >= 1_000);
+        for i in 0..4 {
+            assert_eq!(
+                sim.node(NodeId(i)).txpool.index_shape(),
+                (4, 0),
+                "node {i}: (clients, sparse seqs)"
+            );
+        }
+    }
+
+    #[test]
     fn late_started_worker_catches_up_via_state_sync() {
         let mut sim = Simulation::new(SimConfig::ideal(), cluster(4, 10));
         sim.run_for(Duration::from_millis(300));
