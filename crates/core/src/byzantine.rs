@@ -338,9 +338,9 @@ impl ClusterNode {
     }
 
     /// Mutable access to the wrapped FLO node (runtime configuration —
-    /// crypto pool installation, pre-verified-ingress marking — applies to
-    /// the honest logic of every Byzantine wrapper too: the wrappers change
-    /// what a node *says*, not how it validates).
+    /// execution shards, state sync — applies to the honest logic of every
+    /// Byzantine wrapper too: the wrappers change what a node *says*, not
+    /// how it validates).
     pub fn flo_mut(&mut self) -> &mut FloNode {
         match self {
             ClusterNode::Honest(n) => n,

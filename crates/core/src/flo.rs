@@ -218,14 +218,6 @@ impl FloNode {
         &self.params
     }
 
-    /// Installs a crypto pool on every worker (see
-    /// [`Worker::set_crypto_pool`]).
-    pub fn set_crypto_pool(&mut self, pool: fireledger_crypto::CryptoPool) {
-        for w in &mut self.workers {
-            w.set_crypto_pool(pool.clone());
-        }
-    }
-
     /// Attaches one execution shard per worker (see [`Worker::set_exec`]):
     /// each worker stream is executed by its own independent state machine,
     /// so FLO's sharded ordering carries straight through to sharded
@@ -243,14 +235,6 @@ impl FloNode {
         );
         for (w, shard) in self.workers.iter_mut().zip(shards) {
             w.set_exec(shard.clone());
-        }
-    }
-
-    /// Marks every worker's ingress as runtime-pre-verified (see
-    /// [`Worker::set_preverified_ingress`]).
-    pub fn set_preverified_ingress(&mut self, on: bool) {
-        for w in &mut self.workers {
-            w.set_preverified_ingress(on);
         }
     }
 

@@ -40,7 +40,7 @@ use crate::timer::EmaTimer;
 use crate::txpool::TxPool;
 use crate::validity::{structurally_consistent, SharedValidity};
 use fireledger_bft::{Pbft, PbftConfig, ReliableBroadcast};
-use fireledger_crypto::{hash_header, verify_header_cached, CryptoPool, SharedCrypto};
+use fireledger_crypto::{hash_header, merkle_root_into, verify_header_cached, SharedCrypto};
 use fireledger_exec::{prefix_for_header, root_lag, ClaimCheck, ExecShared};
 use fireledger_types::runtime::CpuCharge;
 use fireledger_types::{
@@ -88,15 +88,6 @@ pub struct Worker {
     worker_id: WorkerId,
     params: ProtocolParams,
     crypto: SharedCrypto,
-    /// Batch/parallel crypto executor. Defaults to a fully inline pool
-    /// (bit-identical to direct calls); realtime runtimes widen it through
-    /// [`Worker::set_crypto_pool`].
-    pool: CryptoPool,
-    /// True when a runtime ingress stage has already verified inbound
-    /// bodies against their announced payload hash (see
-    /// [`Worker::set_preverified_ingress`]); lets the loop skip re-hashing
-    /// them.
-    preverified_ingress: bool,
     validity: SharedValidity,
 
     chain: Chain,
@@ -117,15 +108,12 @@ pub struct Worker {
 
     // Knowledge gathered from the network.
     headers: HashMap<(Round, NodeId), SignedHeader>,
+    /// Block bodies keyed by their merkle root: a body is stored only under
+    /// the root it hashes to (see [`Worker::store_body`]).
     bodies: HashMap<Hash, Vec<Transaction>>,
     /// Payload hashes whose body has been structurally validated (and its
     /// hashing cost charged) already.
     validated_bodies: HashSet<Hash>,
-    /// Computed merkle root per stored body, keyed by the hash the body was
-    /// announced under. `bodies` inserts are first-wins, so each entry is
-    /// hashed once; every re-evaluation of the vote condition reads the
-    /// digest instead of re-hashing β transactions.
-    body_roots: HashMap<Hash, Hash>,
     /// Scratch for merkle leaf digests, reused across blocks so steady-state
     /// payload hashing allocates nothing.
     leaf_scratch: Vec<Hash>,
@@ -190,8 +178,6 @@ impl Worker {
         let proposer = rotation.initial();
         Worker {
             me,
-            pool: CryptoPool::inline(crypto.clone()),
-            preverified_ingress: false,
             worker_id,
             timer: EmaTimer::new(params.base_timeout, params.max_timeout, params.ema_window),
             fd: FailureDetector::new(
@@ -212,7 +198,6 @@ impl Worker {
             headers: HashMap::new(),
             bodies: HashMap::new(),
             validated_bodies: HashSet::new(),
-            body_roots: HashMap::new(),
             leaf_scratch: Vec::new(),
             votes: HashMap::new(),
             fallback_votes: HashMap::new(),
@@ -305,29 +290,6 @@ impl Worker {
     /// Submits a transaction directly to this worker's pool.
     pub fn submit_transaction(&mut self, tx: Transaction) -> bool {
         self.txpool.submit(tx)
-    }
-
-    /// Installs a (typically wider) crypto pool: block-body merkle roots
-    /// and the batchable verification paths (recovery versions, panic
-    /// proofs) run through it. The default inline pool makes this a no-op
-    /// performance-wise; results never depend on the pool's width.
-    pub fn set_crypto_pool(&mut self, pool: CryptoPool) {
-        self.pool = pool;
-    }
-
-    /// Declares that this worker's inbound messages pass a runtime
-    /// pre-verification stage that (a) verifies header signatures, seeding
-    /// their [`fireledger_types::SigMemo`], and (b) checks every
-    /// `BlockData`/`PullBlockReply` body's merkle root against the hash it
-    /// is announced under, dropping mismatches.
-    ///
-    /// With the flag set the worker records an arriving body's announced
-    /// hash as its verified root instead of re-hashing β transactions on
-    /// the consensus loop — the pipelining that keeps FLO's critical path
-    /// crypto-free at the runtime layer. Never set in simulations (the
-    /// simulator has no ingress stage), so simulated runs are untouched.
-    pub fn set_preverified_ingress(&mut self, on: bool) {
-        self.preverified_ingress = on;
     }
 
     // ------------------------------------------------------------------
@@ -534,8 +496,7 @@ impl Worker {
             self.params.tx_size,
             self.params.fill_blocks,
         );
-        let payload_hash = self.pool.merkle_root_par(&txs, &mut self.leaf_scratch);
-        self.body_roots.insert(payload_hash, payload_hash);
+        let payload_hash = merkle_root_into(&txs, &mut self.leaf_scratch);
         let payload_bytes: u64 = txs.iter().map(|t| t.payload.len() as u64).sum();
         let mut header = BlockHeader::new(
             round,
@@ -581,21 +542,16 @@ impl Worker {
             return None;
         }
         let txs = self.bodies.get(&header.payload_hash)?;
-        // Hash the stored body at most once: the digest is keyed by the hash
-        // the body was announced under (first body wins in `bodies`, so the
-        // mapping never changes). Re-evaluating the vote condition after
-        // every message used to re-hash all β transactions here.
-        let known_root = *self
-            .body_roots
-            .entry(header.payload_hash)
-            .or_insert_with(|| self.pool.merkle_root_par(txs, &mut self.leaf_scratch));
         let body = Block::new(header.clone(), txs.clone());
-        // Seed the block's compute-once root cache with the stored digest so
-        // the structural check (and any hashing application predicate) reads
-        // it instead of recomputing.
-        body.payload_root_cache().get_or_init(|| known_root);
+        // A stored body hashes to the key it is stored under, so the block's
+        // compute-once root cache is seeded with that key: the structural
+        // check (and any hashing application predicate) never re-hashes β
+        // transactions.
+        body.payload_root_cache()
+            .get_or_init(|| header.payload_hash);
         if !self.validated_bodies.contains(&header.payload_hash) {
-            // Hashing the payload to check the merkle commitment.
+            // Hashing the payload to check the merkle commitment (done when
+            // the body arrived; charged here, once per body).
             out.cpu(CpuCharge::hash(header.payload_bytes));
             self.validated_bodies.insert(header.payload_hash);
         }
@@ -814,10 +770,9 @@ impl Worker {
         self.pending_finish = None;
 
         // Chain validation (Algorithm 2, line b4) through the *stored*
-        // header value, so the signature verdict memoized at reception (or
-        // seeded off-loop by a pre-verify stage) is a cache read; what can
-        // still fail is the hash link. Clone only after validating — clones
-        // reset the memo.
+        // header value, so the signature verdict memoized at reception is a
+        // cache read; what can still fail is the hash link. Clone only after
+        // validating — clones reset the memo.
         let valid = self
             .chain
             .validate_extension(stored, self.crypto.as_ref())
@@ -1004,15 +959,11 @@ impl Worker {
         let base = state.base;
         // Validate the version; invalid versions are simply not counted
         // (Algorithm 3, lines 11–14).
-        // The version's signatures are one batch for the crypto pool: the
-        // verdicts seed each header's memo, so the anchor check below reads
-        // them instead of verifying one at a time.
-        let headers: Vec<&SignedHeader> = version.iter().collect();
-        let all_sigs_ok = self
-            .pool
-            .batch_verify_headers(&headers)
-            .into_iter()
-            .all(|ok| ok);
+        // The verdicts seed each header's memo, so the anchor check below
+        // reads them instead of verifying again.
+        let all_sigs_ok = version
+            .iter()
+            .all(|h| verify_header_cached(self.crypto.as_ref(), h));
         let valid = if version.is_empty() {
             true
         } else if self.chain.next_round() >= base {
@@ -1114,17 +1065,20 @@ impl Worker {
     // Incoming message handling
     // ------------------------------------------------------------------
 
-    /// Stores an inbound body (first announcement wins). When the runtime's
-    /// ingress stage pre-verified the body's merkle commitment
-    /// ([`Worker::set_preverified_ingress`]), the announced hash is recorded
-    /// as the body's verified root right away — `votable_header` then never
-    /// re-hashes β transactions on the consensus loop.
-    fn store_body(&mut self, payload_hash: Hash, txs: Vec<Transaction>) {
-        if self.preverified_ingress {
-            self.body_roots.entry(payload_hash).or_insert(payload_hash);
-            self.validated_bodies.insert(payload_hash);
+    /// Stores an inbound body announced under `payload_hash`, hashing it
+    /// first: a body whose merkle root is not the announced hash is dropped,
+    /// so a junk body can never occupy the slot of the genuine one. Returns
+    /// whether `bodies` now holds the body for `payload_hash` (a body stored
+    /// earlier is not hashed again).
+    fn store_body(&mut self, payload_hash: Hash, txs: Vec<Transaction>) -> bool {
+        if self.bodies.contains_key(&payload_hash) {
+            return true;
         }
-        self.bodies.entry(payload_hash).or_insert(txs);
+        if merkle_root_into(&txs, &mut self.leaf_scratch) != payload_hash {
+            return false;
+        }
+        self.bodies.insert(payload_hash, txs);
+        true
     }
 
     fn store_header(&mut self, from: NodeId, signed: SignedHeader, out: &mut Outbox<WorkerMsg>) {
@@ -1142,9 +1096,8 @@ impl Worker {
             return;
         }
         out.cpu(CpuCharge::verify(0));
-        // Memoized: when the runtime's pre-verify stage already checked this
-        // value off-loop, the verdict is a cache read; otherwise the
-        // verification happens here and is remembered for the stored value.
+        // Memoized on the value: the verdict is remembered for the stored
+        // header, so chain validation later reads it.
         if !verify_header_cached(self.crypto.as_ref(), &signed) {
             return;
         }
@@ -1241,15 +1194,12 @@ impl Worker {
 
     fn handle_panic_proof(&mut self, proof: PanicProof, out: &mut Outbox<WorkerMsg>) {
         // Validate the proof's signatures (Algorithm 2, line b12: "a valid
-        // proof") as one batch through the crypto pool. A bogus proof can at
-        // worst trigger a redundant recovery, never a safety violation.
-        let mut headers = vec![&proof.conflicting];
-        headers.extend(proof.local_parent.as_ref());
-        if self
-            .pool
-            .batch_verify_headers(&headers)
-            .into_iter()
-            .all(|ok| ok)
+        // proof"). A bogus proof can at worst trigger a redundant recovery,
+        // never a safety violation.
+        let crypto = self.crypto.as_ref();
+        if std::iter::once(&proof.conflicting)
+            .chain(proof.local_parent.as_ref())
+            .all(|h| verify_header_cached(crypto, h))
         {
             self.start_recovery(proof.detected_round, out);
         }
@@ -1339,16 +1289,13 @@ impl Worker {
                     ReplyGate::Candidate(headers) => Some(headers),
                 };
                 // Header-chain verification before a single body byte is
-                // requested: batch signature checks seed each header's memo,
-                // then the hash chain and the f+1-distinct-proposers rule are
+                // requested: signature checks seed each header's memo, then
+                // the hash chain and the f+1-distinct-proposers rule are
                 // checked against our own tip.
                 let verified = candidate.filter(|headers| {
-                    let refs: Vec<&SignedHeader> = headers.iter().collect();
-                    let sigs_ok = self
-                        .pool
-                        .batch_verify_headers(&refs)
-                        .into_iter()
-                        .all(|ok| ok);
+                    let sigs_ok = headers
+                        .iter()
+                        .all(|h| verify_header_cached(self.crypto.as_ref(), h));
                     out.cpu(CpuCharge {
                         signs: 0,
                         verifies: headers.len() as u32,
@@ -1388,8 +1335,7 @@ impl Worker {
                 // already-verified header.
                 let verified = pairs.filter(|pairs| {
                     pairs.iter().all(|(signed, txs)| {
-                        self.pool.merkle_root_par(txs, &mut self.leaf_scratch)
-                            == signed.header.payload_hash
+                        merkle_root_into(txs, &mut self.leaf_scratch) == signed.header.payload_hash
                     })
                 });
                 let mut sub = Outbox::new();
@@ -1557,14 +1503,16 @@ impl Protocol for Worker {
                 }
             }
             WorkerMsg::PullBlockReply { payload_hash, txs } => {
-                self.store_body(payload_hash, txs.clone());
-                // Attach to any decided entry still waiting for this body.
-                for round in self.chain.missing_bodies() {
-                    if let Some(entry) = self.chain.get(round) {
-                        if entry.signed_header.header.payload_hash == payload_hash {
-                            let header = entry.signed_header.header.clone();
-                            self.chain
-                                .attach_body(round, Block::new(header, txs.clone()));
+                // Attach the stored (hence genuine) body to any decided entry
+                // still waiting for it.
+                if self.store_body(payload_hash, txs) {
+                    for round in self.chain.missing_bodies() {
+                        if let Some(entry) = self.chain.get(round) {
+                            if entry.signed_header.header.payload_hash == payload_hash {
+                                let header = entry.signed_header.header.clone();
+                                let txs = self.bodies[&payload_hash].clone();
+                                self.chain.attach_body(round, Block::new(header, txs));
+                            }
                         }
                     }
                 }
@@ -1853,5 +1801,99 @@ mod tests {
         assert_eq!(w.round(), Round(0));
         assert!(!w.is_recovering());
         assert_eq!(w.pool_len(), 0);
+    }
+
+    /// Junk transactions standing in for a Byzantine body: well-formed, but
+    /// not the body any header was signed over.
+    fn junk_txs(n: usize) -> Vec<Transaction> {
+        (0..n as u64)
+            .map(|i| Transaction::zeroed(99, i, 64))
+            .collect()
+    }
+
+    /// Byzantine node 3 sends node 1 a junk body under the payload hash of
+    /// round 0's block (proposer: node 0), and the genuine copy reaches
+    /// node 1 5 ms later — asynchrony the protocol must tolerate.
+    #[derive(Default)]
+    struct JunkBodyRace {
+        announced: Option<Hash>,
+        sent: bool,
+    }
+
+    impl fireledger_sim::Adversary<WorkerMsg> for JunkBodyRace {
+        fn intercept(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            msg: WorkerMsg,
+            _now: fireledger_sim::SimTime,
+        ) -> fireledger_sim::Fate<WorkerMsg> {
+            use fireledger_sim::Fate;
+            if to != NodeId(1) {
+                return Fate::Deliver(msg);
+            }
+            match (&msg, self.announced) {
+                (WorkerMsg::BlockData { payload_hash, .. }, None) if from == NodeId(0) => {
+                    self.announced = Some(*payload_hash);
+                    Fate::DeliverDelayed(msg, Duration::from_millis(5))
+                }
+                // Node 3's first message to node 1 after the announcement
+                // becomes the junk body.
+                (_, Some(payload_hash)) if from == NodeId(3) && !self.sent => {
+                    self.sent = true;
+                    Fate::Deliver(WorkerMsg::BlockData {
+                        payload_hash,
+                        txs: junk_txs(8),
+                    })
+                }
+                _ => Fate::Deliver(msg),
+            }
+        }
+    }
+
+    #[test]
+    fn junk_body_racing_the_genuine_one_is_dropped_on_arrival() {
+        let adversary = Box::new(JunkBodyRace::default());
+        let mut sim = Simulation::with_adversary(SimConfig::ideal(), cluster(4, 8), adversary);
+        sim.run_for(Duration::from_millis(500));
+        let (reference, racer) = (sim.deliveries(NodeId(0)), sim.deliveries(NodeId(1)));
+        let common = reference.len().min(racer.len());
+        assert!(common > 0, "node 1 delivered nothing");
+        assert_eq!(racer[..common], reference[..common], "node 1 diverged");
+    }
+
+    #[test]
+    fn junk_pull_reply_for_a_decided_round_is_never_delivered() {
+        let mut sim = Simulation::new(SimConfig::ideal(), cluster(4, 8));
+        sim.run_for(Duration::from_millis(100));
+        let entry = sim
+            .node(NodeId(0))
+            .chain()
+            .get(Round(0))
+            .expect("round 0 decided")
+            .clone();
+        let genuine = entry.body.expect("round 0 body").txs;
+        let payload_hash = entry.signed_header.header.payload_hash;
+        // A worker holding round 0 as definite but without its body (the
+        // header-only state recovery or a restore leaves behind).
+        let mut w = cluster(4, 8).swap_remove(1);
+        w.chain.restore_definite(entry.signed_header, None);
+        let mut reply = |txs| {
+            let mut out = Outbox::new();
+            w.on_message(
+                NodeId(3),
+                WorkerMsg::PullBlockReply { payload_hash, txs },
+                &mut out,
+            );
+            out.into_actions()
+                .into_iter()
+                .filter_map(|a| match a {
+                    fireledger_types::Action::Deliver(d) => Some(d.block.txs),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert!(reply(junk_txs(genuine.len())).is_empty(), "junk delivered");
+        assert_eq!(reply(genuine.clone()), vec![genuine]);
     }
 }

@@ -36,11 +36,10 @@ pub type SharedCrypto = Arc<dyn CryptoProvider>;
 /// through [`SignedHeader::sig_cache`].
 ///
 /// The first call on a given header value pays `crypto.verify`; every later
-/// call on the *same value* reads the cached verdict. Because moves keep
-/// the cache and clones reset it, this is what connects off-loop
-/// verification to the consensus loop: a pre-verify stage checks the header
-/// on its own thread, the verified value moves into the node loop, and the
-/// protocol's own check here becomes a cache read. Code that re-derives a
+/// call on the *same value* reads the cached verdict. A worker verifies a
+/// header where it arrives and stores the value, so chain validation and
+/// the fallback and recovery checks of that stored value are cache reads.
+/// Because moves keep the cache and clones reset it, code that re-derives a
 /// header (decodes or clones it) re-verifies — the memo can never launder
 /// an unverified value.
 pub fn verify_header_cached(crypto: &dyn CryptoProvider, signed: &SignedHeader) -> bool {

@@ -31,4 +31,4 @@ pub use cost::CostModel;
 pub use hash::{hash_bytes, hash_concat, hash_header, hash_transaction};
 pub use keys::{verify_header_cached, CryptoProvider, LamportKeyStore, SharedCrypto, SimKeyStore};
 pub use merkle::{block_payload_root, merkle_root, merkle_root_into, MerkleTree};
-pub use pool::{CryptoPool, SharedPool, VerifyItem};
+pub use pool::CryptoPool;

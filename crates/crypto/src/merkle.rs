@@ -9,42 +9,6 @@
 use crate::hash::{hash_concat, hash_transaction};
 use fireledger_types::{Block, Hash, Transaction};
 
-/// Computes the leaf digest of every transaction into `out` (position `i`
-/// gets `hash_transaction(&txs[i])`) — the chunkable unit the crypto pool
-/// fans out across worker threads ([`crate::CryptoPool::merkle_root_par`]).
-pub(crate) fn leaf_digests_into(txs: &[Transaction], out: &mut [Hash]) {
-    debug_assert_eq!(txs.len(), out.len());
-    for (tx, slot) in txs.iter().zip(out) {
-        *slot = hash_transaction(tx);
-    }
-}
-
-/// Folds a level's worth of digests to the merkle root in place, halving
-/// the live prefix of `scratch` per level (promote-odd-leaf rule). Shared
-/// by the sequential [`merkle_root_into`] and the pool's parallel leaf
-/// path, so the two cannot drift apart.
-///
-/// # Panics
-/// Panics if `scratch` is empty (callers handle the empty batch first).
-pub(crate) fn fold_root_in_place(scratch: &mut Vec<Hash>) -> Hash {
-    while scratch.len() > 1 {
-        let mut write = 0;
-        let mut read = 0;
-        while read < scratch.len() {
-            scratch[write] = if read + 1 < scratch.len() {
-                hash_concat(&scratch[read], &scratch[read + 1])
-            } else {
-                // Promote the odd node unchanged.
-                scratch[read]
-            };
-            write += 1;
-            read += 2;
-        }
-        scratch.truncate(write);
-    }
-    scratch[0]
-}
-
 /// Computes the merkle root of a transaction batch.
 ///
 /// The root of an empty batch is the all-zero hash, which matches the
@@ -72,10 +36,25 @@ pub fn merkle_root_into(txs: &[Transaction], scratch: &mut Vec<Hash>) -> Hash {
     }
     // Batched leaf digests: one pass over the transactions.
     scratch.clear();
-    scratch.resize(txs.len(), Hash::default());
-    leaf_digests_into(txs, scratch);
-    // Fold to the root in place, halving the live prefix per level.
-    fold_root_in_place(scratch)
+    scratch.extend(txs.iter().map(hash_transaction));
+    // Fold to the root in place, halving the live prefix per level
+    // (promote-odd-leaf rule).
+    while scratch.len() > 1 {
+        let mut write = 0;
+        let mut read = 0;
+        while read < scratch.len() {
+            scratch[write] = if read + 1 < scratch.len() {
+                hash_concat(&scratch[read], &scratch[read + 1])
+            } else {
+                // Promote the odd node unchanged.
+                scratch[read]
+            };
+            write += 1;
+            read += 2;
+        }
+        scratch.truncate(write);
+    }
+    scratch[0]
 }
 
 /// The merkle root of a block's body, computed once per [`Block`] value.

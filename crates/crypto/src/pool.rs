@@ -1,400 +1,35 @@
-//! A fixed-width parallel crypto pool: batch signature verification, batch
-//! hashing, and parallel merkle construction on scoped worker threads.
+//! The crypto pool handle, vestigial.
 //!
-//! FireLedger's optimistic path keeps the *critical path* nearly
-//! crypto-free, but a real node still has to pay for every header signature
-//! and every block-body digest somewhere. [`CryptoPool`] is where: callers
-//! collect a round's pending verifications (or a body's β leaf digests) and
-//! hand them over as one batch, which the pool chunks across `threads`
-//! scoped worker threads — `std::thread::scope`, so borrowed inputs need no
-//! cloning and a panicking worker propagates after every sibling joined
-//! (panic-safe join, no poisoned state left behind).
-//!
-//! ## Determinism
-//!
-//! Every result vector is **position-stable**: slot `i` of the output is
-//! computed from item `i` of the input by the same pure function the
-//! sequential path uses, and chunk boundaries are fixed by arithmetic on
-//! the batch length — thread scheduling can never reorder or change
-//! results. The equivalence property tests at the bottom of this file pin
-//! `batch_verify`/`batch_hash`/`merkle_root_par` against their sequential
-//! counterparts on randomized inputs.
-//!
-//! ## Sizing
-//!
-//! `CryptoPool::new` clamps the requested width to the machine's available
-//! parallelism — on a single-core host every batch simply runs inline, so
-//! requesting a 4-thread pool is never a pessimization. Batches smaller
-//! than one chunk's worth of work per extra thread also run inline
-//! ([`CryptoPool::SMALL_BATCH`]), so doctests and small clusters pay no
-//! spawn cost at all.
+//! Every crypto operation runs inline on its caller's thread: one merkle
+//! root per block body where the body arrives, one memoized verify per
+//! header ([`verify_header_cached`](crate::verify_header_cached)).
+//! [`CryptoPool`] remains only as the argument type of
+//! `StateMachine::root_with_pool` and `ExecShared::new` in
+//! `fireledger-exec`, whose signatures the repo benchmark calls.
 
-use crate::hash::hash_bytes;
 use crate::keys::SharedCrypto;
-use crate::merkle::{fold_root_in_place, leaf_digests_into};
-use fireledger_types::{Hash, NodeId, Signature, SignedHeader, Transaction};
-use std::sync::Arc;
 
-/// One signature check: `(claimed signer, message bytes, signature)`.
-pub type VerifyItem<'a> = (NodeId, &'a [u8], &'a Signature);
-
-/// Shared handle to a [`CryptoPool`].
-pub type SharedPool = Arc<CryptoPool>;
-
-/// A fixed-width batch crypto executor over a
-/// [`CryptoProvider`](crate::CryptoProvider).
-///
-/// The pool is a cheap value (an `Arc` plus two integers): clone it freely
-/// into every worker and runtime stage that needs batched crypto. Workers
-/// are *scoped* — spawned per batch and joined before the call returns —
-/// so the pool holds no long-lived threads and is trivially `Send + Sync`.
+/// A handle on a [`CryptoProvider`](crate::CryptoProvider) that runs
+/// nothing itself (see the module docs).
 #[derive(Clone)]
 pub struct CryptoPool {
     crypto: SharedCrypto,
-    threads: usize,
 }
 
 impl CryptoPool {
-    /// Batches smaller than this run inline even on a wide pool: the work
-    /// has to outweigh a thread spawn (a few microseconds) to be worth
-    /// fanning out.
-    pub const SMALL_BATCH: usize = 16;
-
-    /// Creates a pool over `crypto` with up to `threads` workers.
-    ///
-    /// The width is clamped to at least 1 and at most the machine's
-    /// available parallelism — a pool wider than the machine would only add
-    /// spawn overhead. Width 1 means every batch executes inline on the
-    /// caller's thread.
-    pub fn new(crypto: SharedCrypto, threads: usize) -> Self {
-        let cap = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        CryptoPool {
-            crypto,
-            threads: threads.clamp(1, cap),
-        }
-    }
-
-    /// A width-1 (fully inline) pool — the default for simulations, where
-    /// determinism demands a thread-count-independent execution, and for
-    /// small clusters.
+    /// A handle on `crypto`.
     pub fn inline(crypto: SharedCrypto) -> Self {
-        CryptoPool { crypto, threads: 1 }
+        CryptoPool { crypto }
     }
 
-    /// Creates a pool with exactly `threads` workers, bypassing the
-    /// available-parallelism clamp.
-    ///
-    /// For tests and benchmarks that must exercise the fan-out path on any
-    /// host; production callers want [`CryptoPool::new`].
-    pub fn with_forced_threads(crypto: SharedCrypto, threads: usize) -> Self {
-        CryptoPool {
-            crypto,
-            threads: threads.max(1),
-        }
-    }
-
-    /// The effective worker count (after clamping).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The crypto provider this pool verifies against.
+    /// The crypto provider this handle holds.
     pub fn crypto(&self) -> &SharedCrypto {
         &self.crypto
-    }
-
-    /// True when `n` items would execute inline rather than fan out.
-    fn runs_inline(&self, n: usize) -> bool {
-        self.threads <= 1 || n < Self::SMALL_BATCH.max(2 * self.threads)
-    }
-
-    /// Chunk length for an `n`-item fan-out: every worker gets one
-    /// contiguous chunk, fixed by arithmetic so outputs are independent of
-    /// scheduling.
-    fn chunk_len(&self, n: usize) -> usize {
-        n.div_ceil(self.threads).max(1)
-    }
-
-    /// Verifies a batch of signatures, returning one verdict per item in
-    /// input order.
-    ///
-    /// Verdict `i` is exactly `crypto.verify(items[i].0, items[i].1,
-    /// items[i].2)` — the batch form exists to amortize the fan-out, not to
-    /// change semantics.
-    pub fn batch_verify(&self, items: &[VerifyItem<'_>]) -> Vec<bool> {
-        let mut out = vec![false; items.len()];
-        let crypto = self.crypto.as_ref();
-        if self.runs_inline(items.len()) {
-            for (slot, (node, msg, sig)) in out.iter_mut().zip(items) {
-                *slot = crypto.verify(*node, msg, sig);
-            }
-            return out;
-        }
-        let chunk = self.chunk_len(items.len());
-        std::thread::scope(|s| {
-            for (ichunk, ochunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (slot, (node, msg, sig)) in ochunk.iter_mut().zip(ichunk) {
-                        *slot = crypto.verify(*node, msg, sig);
-                    }
-                });
-            }
-        });
-        out
-    }
-
-    /// Verifies a batch of signed headers (each proposer's signature over
-    /// its header's canonical bytes) and seeds every header's
-    /// [`SignedHeader::sig_cache`] with its verdict, so later
-    /// [`verify_header_cached`](crate::verify_header_cached) calls on the
-    /// same values are cache reads. Returns one verdict per header in
-    /// input order.
-    pub fn batch_verify_headers(&self, headers: &[&SignedHeader]) -> Vec<bool> {
-        let pre_images: Vec<_> = headers.iter().map(|h| h.header.canonical_bytes()).collect();
-        let items: Vec<VerifyItem<'_>> = headers
-            .iter()
-            .zip(&pre_images)
-            .map(|(h, pre)| (h.proposer(), pre.as_slice(), &h.signature))
-            .collect();
-        let verdicts = self.batch_verify(&items);
-        for (header, ok) in headers.iter().zip(&verdicts) {
-            header.sig_cache().get_or_init(|| *ok);
-        }
-        verdicts
-    }
-
-    /// Hashes a batch of messages, returning one digest per message in
-    /// input order (each equal to [`hash_bytes`] of that message).
-    pub fn batch_hash(&self, msgs: &[&[u8]]) -> Vec<Hash> {
-        let mut out = vec![Hash::default(); msgs.len()];
-        if self.runs_inline(msgs.len()) {
-            for (slot, msg) in out.iter_mut().zip(msgs) {
-                *slot = hash_bytes(msg);
-            }
-            return out;
-        }
-        let chunk = self.chunk_len(msgs.len());
-        std::thread::scope(|s| {
-            for (ichunk, ochunk) in msgs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (slot, msg) in ochunk.iter_mut().zip(ichunk) {
-                        *slot = hash_bytes(msg);
-                    }
-                });
-            }
-        });
-        out
-    }
-
-    /// The merkle root of a transaction batch with the β leaf digests split
-    /// across the pool's workers, folded to the root in place.
-    ///
-    /// Bit-for-bit equal to
-    /// [`merkle_root_into`](crate::merkle::merkle_root_into) on the same
-    /// batch (the fold is the shared `fold_root_in_place`, and leaf `i` is
-    /// always `hash_transaction(&txs[i])` no matter which worker computed
-    /// it); `scratch` is the caller-owned leaf buffer reused across blocks.
-    pub fn merkle_root_par(&self, txs: &[Transaction], scratch: &mut Vec<Hash>) -> Hash {
-        if txs.is_empty() {
-            return Hash::default();
-        }
-        scratch.clear();
-        scratch.resize(txs.len(), Hash::default());
-        if self.runs_inline(txs.len()) {
-            leaf_digests_into(txs, scratch);
-        } else {
-            let chunk = self.chunk_len(txs.len());
-            std::thread::scope(|s| {
-                for (tchunk, ochunk) in txs.chunks(chunk).zip(scratch.chunks_mut(chunk)) {
-                    s.spawn(move || leaf_digests_into(tchunk, ochunk));
-                }
-            });
-        }
-        fold_root_in_place(scratch)
     }
 }
 
 impl std::fmt::Debug for CryptoPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CryptoPool({} threads, {})",
-            self.threads,
-            self.crypto.scheme()
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::keys::{CryptoProvider, SimKeyStore};
-    use crate::merkle::merkle_root_into;
-    use fireledger_types::DetRng;
-
-    fn pool(threads: usize) -> CryptoPool {
-        CryptoPool::with_forced_threads(SimKeyStore::generate(4, 7).shared(), threads)
-    }
-
-    #[test]
-    fn new_clamps_to_available_parallelism() {
-        let crypto = SimKeyStore::generate(4, 7).shared();
-        let cap = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert!(CryptoPool::new(crypto.clone(), 4096).threads() <= cap);
-        assert_eq!(CryptoPool::new(crypto.clone(), 0).threads(), 1);
-        assert_eq!(CryptoPool::inline(crypto).threads(), 1);
-    }
-
-    #[test]
-    fn batch_verify_matches_sequential_on_random_inputs() {
-        // Property: for random messages, random signers, and randomly
-        // corrupted signatures, the pooled verdicts equal one-at-a-time
-        // verification — bit for bit, at every pool width.
-        let mut rng = DetRng::seed_from_u64(0xC0FFEE);
-        let crypto = SimKeyStore::generate(4, 7).shared();
-        let mut msgs = Vec::new();
-        let mut sigs = Vec::new();
-        let mut signers = Vec::new();
-        for i in 0..97u64 {
-            let len = (rng.next_u64() % 96) as usize;
-            let msg: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let signer = NodeId((rng.next_u64() % 5) as u32); // node 4 is unknown
-            let mut sig = if signer.as_usize() < 4 {
-                crypto.sign(signer, &msg)
-            } else {
-                Signature::from(vec![0u8; 32])
-            };
-            if i % 3 == 0 {
-                // Corrupt a third of the signatures.
-                let mut bytes = sig.as_bytes().to_vec();
-                if let Some(b) = bytes.first_mut() {
-                    *b ^= 0x01;
-                }
-                sig = Signature::from(bytes);
-            }
-            msgs.push(msg);
-            sigs.push(sig);
-            signers.push(signer);
-        }
-        let items: Vec<VerifyItem<'_>> = (0..msgs.len())
-            .map(|i| (signers[i], msgs[i].as_slice(), &sigs[i]))
-            .collect();
-        let expected: Vec<bool> = items
-            .iter()
-            .map(|(n, m, s)| crypto.verify(*n, m, s))
-            .collect();
-        assert!(expected.iter().any(|v| *v) && expected.iter().any(|v| !*v));
-        for threads in [1usize, 2, 3, 4, 7] {
-            let p = CryptoPool::with_forced_threads(crypto.clone(), threads);
-            assert_eq!(p.batch_verify(&items), expected, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn batch_hash_matches_sequential_on_random_inputs() {
-        let mut rng = DetRng::seed_from_u64(42);
-        let msgs: Vec<Vec<u8>> = (0..75)
-            .map(|_| {
-                let len = (rng.next_u64() % 200) as usize;
-                (0..len).map(|_| rng.next_u64() as u8).collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let expected: Vec<Hash> = refs.iter().map(|m| hash_bytes(m)).collect();
-        for threads in [1usize, 2, 4, 5] {
-            assert_eq!(
-                pool(threads).batch_hash(&refs),
-                expected,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn merkle_root_par_matches_sequential_for_every_shape() {
-        // Every odd/even split shape plus random payload sizes: the
-        // parallel root must be the sequential root.
-        let mut rng = DetRng::seed_from_u64(9);
-        for n in [0usize, 1, 2, 3, 15, 16, 17, 33, 64, 100, 257] {
-            let txs: Vec<Transaction> = (0..n)
-                .map(|i| {
-                    let len = (rng.next_u64() % 64) as usize;
-                    let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                    Transaction::new(1, i as u64, payload)
-                })
-                .collect();
-            let mut seq_scratch = Vec::new();
-            let expected = merkle_root_into(&txs, &mut seq_scratch);
-            for threads in [1usize, 2, 4, 8] {
-                let mut scratch = Vec::new();
-                assert_eq!(
-                    pool(threads).merkle_root_par(&txs, &mut scratch),
-                    expected,
-                    "{n} leaves, {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_is_reusable_across_parallel_batches() {
-        let p = pool(4);
-        let mut scratch = Vec::new();
-        let big: Vec<Transaction> = (0..80).map(|i| Transaction::zeroed(1, i, 64)).collect();
-        let small: Vec<Transaction> = (0..5).map(|i| Transaction::zeroed(2, i, 16)).collect();
-        let a = p.merkle_root_par(&big, &mut scratch);
-        let b = p.merkle_root_par(&small, &mut scratch);
-        assert_eq!(a, merkle_root_into(&big, &mut Vec::new()));
-        assert_eq!(b, merkle_root_into(&small, &mut Vec::new()));
-    }
-
-    #[test]
-    fn small_batches_run_inline() {
-        let p = pool(8);
-        assert!(p.runs_inline(CryptoPool::SMALL_BATCH - 1));
-        assert!(!p.runs_inline(1000));
-        // Inline pools never fan out, whatever the batch size.
-        assert!(pool(1).runs_inline(1_000_000));
-    }
-
-    #[test]
-    fn worker_panics_propagate_after_join() {
-        // A panicking verification must not deadlock or silently corrupt
-        // the batch: thread::scope re-raises after joining every worker.
-        struct PanickyProvider;
-        impl CryptoProvider for PanickyProvider {
-            fn sign(&self, _: NodeId, _: &[u8]) -> Signature {
-                Signature::empty()
-            }
-            fn verify(&self, node: NodeId, _: &[u8], _: &Signature) -> bool {
-                assert!(node.0 != 13, "panicky node");
-                true
-            }
-            fn cluster_size(&self) -> usize {
-                64
-            }
-            fn cost_model(&self) -> crate::CostModel {
-                crate::CostModel::free()
-            }
-            fn scheme(&self) -> &'static str {
-                "panicky"
-            }
-        }
-        let p = CryptoPool::with_forced_threads(Arc::new(PanickyProvider), 4);
-        let sig = Signature::empty();
-        let items: Vec<VerifyItem<'_>> = (0..64u32).map(|i| (NodeId(i), &[][..], &sig)).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.batch_verify(&items);
-        }));
-        assert!(result.is_err(), "the worker panic must propagate");
-        // The pool stays usable afterwards (no poisoned state).
-        let ok_items: Vec<VerifyItem<'_>> = (0..64u32)
-            .map(|i| (NodeId(i % 13), &[][..], &sig))
-            .collect();
-        assert_eq!(p.batch_verify(&ok_items), vec![true; 64]);
+        write!(f, "CryptoPool({})", self.crypto.scheme())
     }
 }

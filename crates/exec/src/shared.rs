@@ -38,9 +38,9 @@ use std::sync::{Arc, Condvar, Mutex};
 /// `ClusterBuilder::with_execution`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads for the conflict-partitioned apply; `0` inherits the
-    /// crypto pool's width. Every width computes identical results — this
-    /// trades latency only.
+    /// Worker threads for the conflict-partitioned apply; `0` means serial
+    /// (width 1). Every width computes identical results — this trades
+    /// latency only.
     pub apply_width: usize,
     /// Accounts `0..genesis_accounts` exist from round 0 with
     /// `genesis_balance` each, so transfer workloads have accounts to move
@@ -207,15 +207,10 @@ impl ExecCore {
         let mut tx_scratch = Vec::new();
         let mut hash_scratch = Vec::new();
         let base_root = state.root_with_pool(&pool, &mut tx_scratch, &mut hash_scratch);
-        let width = if config.apply_width == 0 {
-            pool.threads()
-        } else {
-            config.apply_width
-        };
         ExecCore {
             state,
             pool,
-            width,
+            width: config.apply_width.max(1),
             genesis: (config.genesis_accounts, config.genesis_balance),
             base_root,
             next_round: 0,
@@ -352,9 +347,10 @@ pub struct ExecShared {
 }
 
 impl ExecShared {
-    /// Creates an executor over `pool` (whose width also defaults the apply
-    /// width) with no stage attached: enqueues execute inline until
-    /// [`ExecShared::attach_stage`].
+    /// Creates an executor with no stage attached: enqueues execute inline
+    /// until [`ExecShared::attach_stage`]. `pool` is only handed on to
+    /// [`StateMachine::root_with_pool`], which ignores it; the apply width
+    /// is [`ExecConfig::apply_width`].
     pub fn new(config: &ExecConfig, pool: CryptoPool) -> Self {
         ExecShared {
             inner: Arc::new(Inner {

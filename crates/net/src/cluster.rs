@@ -15,8 +15,7 @@
 //! teardown look at the transport.
 
 use crate::node_loop::{
-    run_node, spawn_preverify_stages, DeliveryLog, Egress, NodeEvent, NodeFlags, PreVerify,
-    Rebuild, STATUS_KILLED,
+    run_node, DeliveryLog, Egress, NodeEvent, NodeFlags, Rebuild, STATUS_KILLED,
 };
 use crate::reactor::Reactor;
 use crate::rpc::{RpcClient, RpcHandler, RpcServer};
@@ -47,8 +46,6 @@ pub struct RealtimeCluster<M> {
     log: Arc<DeliveryLog>,
     flags: NodeFlags,
     node_handles: Vec<JoinHandle<()>>,
-    /// Pre-verify stage threads, one per node when a hook is installed.
-    stage_handles: Vec<JoinHandle<()>>,
     transport: Transport<M>,
 }
 
@@ -82,40 +79,30 @@ pub(crate) enum Transport<M> {
 
 /// The transport-independent half of a cluster, set up before any node
 /// thread starts: one event channel per node, the delivery logs, the flag
-/// banks and (optionally) the pre-verify stages.
+/// banks.
 pub(crate) struct Wiring<M> {
     pub(crate) evt_senders: Vec<Sender<NodeEvent<M>>>,
     receivers: Vec<Receiver<NodeEvent<M>>>,
     pub(crate) log: Arc<DeliveryLog>,
     flags: NodeFlags,
-    stage_handles: Vec<JoinHandle<()>>,
 }
 
 impl<M: Clone + Send + Sync + 'static> Wiring<M> {
     /// Wires `n` nodes. A `dormant` node (late join) has its kill flag
     /// pre-set, so its thread drops the state machine without ever starting
     /// it and a later [`RealtimeCluster::restart`] brings it up mid-run.
-    pub(crate) fn new(
-        n: usize,
-        pre_verify: Option<&Arc<dyn PreVerify<M>>>,
-        dormant: &[NodeId],
-    ) -> Self {
-        let (evt_senders, mut receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+    pub(crate) fn new(n: usize, dormant: &[NodeId]) -> Self {
+        let (evt_senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let log = Arc::new(DeliveryLog::new(n));
         let flags = NodeFlags::new(n);
         for node in dormant {
             flags.killed[node.as_usize()].store(true, Ordering::SeqCst);
-        }
-        let mut stage_handles = Vec::new();
-        if let Some(pv) = pre_verify {
-            (receivers, stage_handles) = spawn_preverify_stages(receivers, pv);
         }
         Wiring {
             evt_senders,
             receivers,
             log,
             flags,
-            stage_handles,
         }
     }
 
@@ -149,7 +136,6 @@ impl<M: Clone + Send + Sync + 'static> Wiring<M> {
             log: self.log,
             flags: self.flags,
             node_handles,
-            stage_handles: self.stage_handles,
             transport,
         }
     }
@@ -299,8 +285,7 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
         }
     }
 
-    /// OS threads the cluster runs right now: node threads, pre-verify
-    /// stages, and on sockets the reactor pool, the fault delay line and the
+    /// OS threads the cluster runs right now: node threads, and on sockets the reactor pool, the fault delay line and the
     /// RPC accept threads (transient per-client connection threads are
     /// bounded by the listener's pool, not by cluster size, and excluded).
     /// A fault-free, ingress-free socket cluster counts exactly
@@ -321,7 +306,7 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
                     + rpc.as_ref().map_or(0, RpcServer::accept_threads)
             }
         };
-        self.node_handles.len() + self.stage_handles.len() + transport
+        self.node_handles.len() + transport
     }
 
     /// Stops every thread, closes every socket, and returns the final
@@ -331,7 +316,6 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
             evt_senders,
             log,
             node_handles,
-            stage_handles,
             mut transport,
             ..
         } = self;
@@ -378,9 +362,6 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
                     reactor.stop_and_join();
                 }
             }
-        }
-        for h in stage_handles {
-            let _ = h.join();
         }
         DeliveryLog::into_deliveries(log)
     }
@@ -431,7 +412,7 @@ mod tests {
                 RealtimeCluster::spawn_engine(nodes, None, None, None, &[], TcpEngine)
                     .expect("mesh setup")
             } else {
-                RealtimeCluster::spawn_channels(nodes, None, None, None, &[])
+                RealtimeCluster::spawn_channels(nodes, None, None, &[])
             };
             cluster.kill(NodeId(1));
             assert!(

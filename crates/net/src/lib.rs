@@ -38,7 +38,6 @@ mod tcp;
 mod threads;
 
 pub use cluster::{RealtimeCluster, TcpCluster};
-pub use node_loop::{PreVerify, Verdict};
 pub use reactor::{TcpEngine, DEFAULT_REACTOR_THREADS};
 pub use rpc::{RpcClient, RpcHandler, RpcServer};
 

@@ -10,7 +10,7 @@
 use fireledger_types::{Action, Delivery, NodeId, Outbox, Protocol, TimerId, Transaction};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -56,162 +56,6 @@ pub(crate) trait Egress<M> {
     fn send(&mut self, to: NodeId, msg: M);
     /// Delivers `msg` to every other node.
     fn broadcast(&mut self, msg: M);
-}
-
-/// What a [`PreVerify`] hook decided about one inbound message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Hand the message to the node loop (possibly with verification
-    /// verdicts memoized on its values).
-    Forward,
-    /// Discard the message before it reaches the loop — reserved for
-    /// messages the protocol could never *accept* (an invalid signature, a
-    /// body that does not match its announced digest). For signature
-    /// rejects the outcome is observably identical to in-loop rejection;
-    /// for mismatched bodies the drop is strictly stronger: the in-loop
-    /// path stores bodies first-wins before validating them, so a junk
-    /// body can occupy its announced hash's slot, while the stage keeps
-    /// the slot free for the genuine body.
-    Drop,
-}
-
-/// An inbound-message verification hook, run *off* the consensus loop.
-///
-/// When a cluster is spawned with a pre-verifier, every node gets a
-/// dedicated stage thread between its ingress channel and its event loop
-/// (the `PreVerify` stage of `node_loop`): inbound events are drained in
-/// batches, shared broadcast values are materialized, and `check_batch`
-/// validates the expensive cryptographic content — seeding compute-once
-/// memos on the message values (signature verdicts, payload roots) so the
-/// loop consumes already-validated messages. The paper's FLO pipelining
-/// story realized at the runtime layer: the consensus thread stays nearly
-/// crypto-free even while the crypto is genuinely being paid.
-///
-/// Implementations must be pure with respect to the message: the same
-/// message yields the same verdict, and `Drop` is only allowed where the
-/// protocol's own handling of the message is an unconditional reject.
-pub trait PreVerify<M>: Send + Sync {
-    /// Verifies one message from `from`.
-    fn check(&self, from: NodeId, msg: &M) -> Verdict;
-
-    /// Verifies a batch, one verdict per item in order. The default just
-    /// loops; implementations with a batch crypto executor override this to
-    /// amortize fan-out across the whole drained batch.
-    fn check_batch(&self, items: &[(NodeId, &M)]) -> Vec<Verdict> {
-        items
-            .iter()
-            .map(|(from, msg)| self.check(*from, msg))
-            .collect()
-    }
-}
-
-/// Upper bound on events one stage drain batches together: bounds latency
-/// and the batch vector while still amortizing the batch-verify fan-out.
-const STAGE_BATCH: usize = 64;
-
-/// Runs one node's pre-verify stage: drain the ingress channel, materialize
-/// shared broadcast values, batch-verify, forward survivors in order.
-/// Returns when the ingress disconnects, the loop side hangs up, or a
-/// shutdown event passes through.
-fn run_preverify_stage<M>(
-    rx: Receiver<NodeEvent<M>>,
-    tx: Sender<NodeEvent<M>>,
-    pv: Arc<dyn PreVerify<M>>,
-) where
-    M: Clone + Send + Sync + 'static,
-{
-    // Materialize a shared broadcast into an owned message — the same
-    // last-receiver-free rule the loop itself applies, just moved off-loop
-    // (verdict memos seeded on the owned value survive the move into the
-    // loop; they would not survive a clone).
-    let materialize = |event: NodeEvent<M>| match event {
-        NodeEvent::SharedMessage { from, msg } => NodeEvent::Message {
-            from,
-            msg: Arc::try_unwrap(msg).unwrap_or_else(|arc| (*arc).clone()),
-        },
-        other => other,
-    };
-    let mut batch: Vec<NodeEvent<M>> = Vec::with_capacity(STAGE_BATCH);
-    loop {
-        let Ok(first) = rx.recv() else {
-            return;
-        };
-        batch.push(materialize(first));
-        while batch.len() < STAGE_BATCH {
-            match rx.try_recv() {
-                Ok(event) => batch.push(materialize(event)),
-                Err(_) => break,
-            }
-        }
-        // One verification pass over the drained run of messages, the
-        // items of batch events included.
-        let mut items: Vec<(NodeId, &M)> = Vec::new();
-        for event in &batch {
-            match event {
-                NodeEvent::Message { from, msg } => items.push((*from, msg)),
-                NodeEvent::Batch(msgs) => items.extend(msgs.iter().map(|(from, msg)| (*from, msg))),
-                _ => {}
-            }
-        }
-        let verdicts = if items.is_empty() {
-            Vec::new()
-        } else {
-            let verdicts = pv.check_batch(&items);
-            debug_assert_eq!(verdicts.len(), items.len());
-            verdicts
-        };
-        // Verdicts are consumed in the order `items` was built.
-        let mut verdicts = verdicts.into_iter();
-        let mut keep = || verdicts.next().unwrap_or(Verdict::Forward) == Verdict::Forward;
-        for event in batch.drain(..) {
-            let event = match event {
-                NodeEvent::Message { .. } if !keep() => continue,
-                NodeEvent::Batch(msgs) => {
-                    let survivors: Vec<(NodeId, M)> = msgs.into_iter().filter(|_| keep()).collect();
-                    if survivors.is_empty() {
-                        continue;
-                    }
-                    NodeEvent::Batch(survivors)
-                }
-                other => other,
-            };
-            let is_shutdown = matches!(event, NodeEvent::Shutdown);
-            if tx.send(event).is_err() {
-                return;
-            }
-            if is_shutdown {
-                return;
-            }
-        }
-    }
-}
-
-/// Inserts a pre-verify stage thread in front of every node's event loop:
-/// each returned receiver yields the stage's output; the original receivers
-/// become the stages' inputs. The ingress senders are untouched, so egress,
-/// submits, the fault delay line and shutdown all flow through the stage
-/// transparently.
-pub(crate) fn spawn_preverify_stages<M>(
-    receivers: Vec<Receiver<NodeEvent<M>>>,
-    pv: &Arc<dyn PreVerify<M>>,
-) -> (
-    Vec<Receiver<NodeEvent<M>>>,
-    Vec<std::thread::JoinHandle<()>>,
-)
-where
-    M: Clone + Send + Sync + 'static,
-{
-    let mut staged = Vec::with_capacity(receivers.len());
-    let mut handles = Vec::with_capacity(receivers.len());
-    for rx in receivers {
-        let (stage_tx, stage_rx) = channel();
-        let pv = pv.clone();
-        handles.push(std::thread::spawn(move || {
-            run_preverify_stage(rx, stage_tx, pv);
-        }));
-        staged.push(stage_rx);
-    }
-    (staged, handles)
 }
 
 /// The shared per-node delivery logs: every delivery is recorded together
@@ -546,60 +390,11 @@ fn apply<M, E: Egress<M>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Sender};
     use std::thread::JoinHandle;
 
     fn batch(values: &[u64]) -> NodeEvent<u64> {
         NodeEvent::Batch(values.iter().map(|v| (NodeId(1), *v)).collect())
-    }
-
-    /// Drops odd values and records the length of every `check_batch` call.
-    #[derive(Default)]
-    struct DropOdd {
-        calls: Mutex<Vec<usize>>,
-    }
-
-    impl PreVerify<u64> for DropOdd {
-        fn check(&self, _from: NodeId, msg: &u64) -> Verdict {
-            if msg % 2 == 1 {
-                Verdict::Drop
-            } else {
-                Verdict::Forward
-            }
-        }
-
-        fn check_batch(&self, items: &[(NodeId, &u64)]) -> Vec<Verdict> {
-            self.calls.lock().unwrap().push(items.len());
-            items
-                .iter()
-                .map(|(from, msg)| self.check(*from, msg))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn preverify_stage_verifies_batch_items_with_the_drained_messages() {
-        let (in_tx, in_rx) = channel();
-        let (out_tx, out_rx) = channel();
-        let from = NodeId(1);
-        in_tx.send(NodeEvent::Message { from, msg: 1 }).unwrap();
-        in_tx.send(batch(&[2, 3, 4])).unwrap();
-        in_tx.send(NodeEvent::Message { from, msg: 6 }).unwrap();
-        // A batch with no survivors is not forwarded at all.
-        in_tx.send(batch(&[7])).unwrap();
-        drop(in_tx);
-        let pv = Arc::new(DropOdd::default());
-        run_preverify_stage(in_rx, out_tx, pv.clone());
-
-        let out: Vec<(&str, Vec<u64>)> = out_rx
-            .try_iter()
-            .map(|event| match event {
-                NodeEvent::Message { msg, .. } => ("message", vec![msg]),
-                NodeEvent::Batch(items) => ("batch", items.into_iter().map(|(_, m)| m).collect()),
-                _ => ("other", Vec::new()),
-            })
-            .collect();
-        assert_eq!(out, [("batch", vec![2, 4]), ("message", vec![6])]);
-        assert_eq!(*pv.calls.lock().unwrap(), [6], "one check_batch call");
     }
 
     struct NoEgress;

@@ -39,7 +39,7 @@
 
 use crate::cluster::{Transport, Wiring};
 use crate::frame::{read_frame, write_frame};
-use crate::node_loop::{Egress, NodeEvent, PreVerify, Rebuild};
+use crate::node_loop::{Egress, NodeEvent, Rebuild};
 use crate::reactor::{Conn, Reactor, TcpEngine, DEFAULT_REACTOR_THREADS};
 use crate::shim::{DelayLine, LinkShim};
 use crate::RealtimeCluster;
@@ -179,11 +179,12 @@ where
     /// its offsets measured from the moment the mesh is fully dialed; a
     /// restart re-enters the node on its original sockets (the mesh is
     /// static — what a "kill -9" destroys is the protocol's process state).
-    /// `engine` is vestigial (see [`TcpEngine`]).
+    /// `_pre_verify` and `engine` are vestigial: the first can only be
+    /// `None`, the second is a unit struct (see [`TcpEngine`]).
     pub fn spawn_engine<P>(
         nodes: Vec<P>,
         faults: Option<FaultPlan>,
-        pre_verify: Option<Arc<dyn PreVerify<M>>>,
+        _pre_verify: Option<std::convert::Infallible>,
         rebuild: Option<Rebuild<P>>,
         dormant: &[NodeId],
         _engine: TcpEngine,
@@ -193,7 +194,7 @@ where
     {
         let n = nodes.len();
         let mesh = dial_mesh(n)?;
-        let wiring = Wiring::new(n, pre_verify.as_ref(), dormant);
+        let wiring = Wiring::new(n, dormant);
 
         // Every live stream goes to the reactor; its ingress is a
         // per-connection mpsc outbox whose sender goes into a flat

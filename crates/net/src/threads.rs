@@ -7,7 +7,7 @@
 //! pushes every message through the binary codec and a real socket.
 
 use crate::cluster::{Transport, Wiring};
-use crate::node_loop::{Egress, NodeEvent, PreVerify, Rebuild};
+use crate::node_loop::{Egress, NodeEvent, Rebuild};
 use crate::shim::{DelayLine, LinkShim};
 use crate::RealtimeCluster;
 use fireledger_types::{FaultPlan, LinkDecision, NodeId, Protocol};
@@ -128,10 +128,6 @@ where
     ///   [`RealtimeCluster::pause`] / [`RealtimeCluster::resume`] /
     ///   [`RealtimeCluster::crash`]). Its time offsets are measured from
     ///   this call.
-    /// * `pre_verify` — an optional [`PreVerify`] hook: every node gets a
-    ///   stage thread between its ingress channel and its event loop that
-    ///   batch-verifies inbound messages (and materializes shared
-    ///   broadcasts) off-loop, preserving per-sender FIFO order.
     /// * `rebuild` — after [`RealtimeCluster::kill`],
     ///   [`RealtimeCluster::restart`] invokes it to reconstruct the node,
     ///   typically from its durable store, on the same thread and channels.
@@ -141,7 +137,6 @@ where
     pub fn spawn_channels<P>(
         nodes: Vec<P>,
         faults: Option<FaultPlan>,
-        pre_verify: Option<Arc<dyn PreVerify<M>>>,
         rebuild: Option<Rebuild<P>>,
         dormant: &[NodeId],
     ) -> Self
@@ -149,7 +144,7 @@ where
         P: Protocol<Msg = M> + Send + 'static,
     {
         let n = nodes.len();
-        let wiring = Wiring::new(n, pre_verify.as_ref(), dormant);
+        let wiring = Wiring::new(n, dormant);
         let peers = &wiring.evt_senders;
         let transport = |delay| Transport::Channels { delay, rpc: None };
         match faults {
@@ -189,7 +184,7 @@ mod tests {
     where
         P: Protocol<Msg = u64> + Send + 'static,
     {
-        RealtimeCluster::spawn_channels(nodes, faults, None, None, &[])
+        RealtimeCluster::spawn_channels(nodes, faults, None, &[])
     }
 
     /// A trivial protocol: node 0 broadcasts a counter on start; everyone
@@ -256,75 +251,6 @@ mod tests {
             assert!(
                 rounds.contains(&8),
                 "node {i} missed the timer broadcast: {rounds:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn preverify_stage_drops_rejected_messages_and_forwards_the_rest() {
-        use crate::node_loop::{PreVerify, Verdict};
-        use std::sync::Arc;
-
-        /// Drops every odd value — standing in for "invalid signature".
-        struct DropOdd;
-        impl PreVerify<u64> for DropOdd {
-            fn check(&self, _from: NodeId, msg: &u64) -> Verdict {
-                if msg.is_multiple_of(2) {
-                    Verdict::Forward
-                } else {
-                    Verdict::Drop
-                }
-            }
-        }
-
-        struct Burst {
-            me: NodeId,
-        }
-        impl Protocol for Burst {
-            type Msg = u64;
-            fn node_id(&self) -> NodeId {
-                self.me
-            }
-            fn on_start(&mut self, out: &mut Outbox<u64>) {
-                if self.me == NodeId(0) {
-                    for v in 0..10u64 {
-                        out.broadcast(v);
-                    }
-                }
-            }
-            fn on_message(&mut self, from: NodeId, msg: u64, out: &mut Outbox<u64>) {
-                out.deliver(Delivery {
-                    worker: fireledger_types::WorkerId(0),
-                    round: Round(msg),
-                    proposer: from,
-                    block: fireledger_types::Block::new(
-                        fireledger_types::BlockHeader::new(
-                            Round(msg),
-                            fireledger_types::WorkerId(0),
-                            from,
-                            fireledger_types::GENESIS_HASH,
-                            fireledger_types::GENESIS_HASH,
-                            0,
-                            0,
-                        ),
-                        vec![],
-                    ),
-                });
-            }
-            fn on_timer(&mut self, _t: TimerId, _o: &mut Outbox<u64>) {}
-        }
-
-        let nodes: Vec<Burst> = (0..3).map(|i| Burst { me: NodeId(i) }).collect();
-        let cluster =
-            RealtimeCluster::spawn_channels(nodes, None, Some(Arc::new(DropOdd)), None, &[]);
-        std::thread::sleep(Duration::from_millis(80));
-        let deliveries = cluster.shutdown();
-        for (i, delivered) in deliveries.iter().enumerate().skip(1) {
-            let rounds: Vec<u64> = delivered.iter().map(|d| d.round.0).collect();
-            assert_eq!(
-                rounds,
-                vec![0, 2, 4, 6, 8],
-                "node {i}: odd messages must be dropped off-loop, evens forwarded in order"
             );
         }
     }

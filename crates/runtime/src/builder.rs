@@ -8,14 +8,12 @@
 //! The same builder value is consumed identically by both runtimes (see
 //! [`crate::Runtime`]).
 
-use crate::preverify::FloPreVerifier;
 use fireledger::{
     AcceptAll, ClusterNode, EquivocatingNode, FloNode, SharedValidity, SilentProposerNode, Worker,
 };
 use fireledger_baselines::{BftSmartNode, HotStuffNode, PbftNode};
 use fireledger_crypto::{CryptoPool, SharedCrypto, SimKeyStore};
 use fireledger_exec::{ExecConfig, ExecShared, ExecStage};
-use fireledger_net::PreVerify;
 use fireledger_store::{FsyncPolicy, NodeStore, RecoveredState};
 use fireledger_types::{
     Error, NodeId, Protocol, ProtocolParams, Result, WireCodec, WireSize, WorkerId,
@@ -92,10 +90,6 @@ pub struct BuildContext {
     pub params: ProtocolParams,
     /// The cluster key directory.
     pub crypto: SharedCrypto,
-    /// The cluster's batch/parallel crypto executor (width set by
-    /// [`ClusterBuilder::crypto_threads`]; always inline when the cluster
-    /// is built for the simulator).
-    pub pool: CryptoPool,
     /// The external validity predicate (protocols without external validity
     /// ignore it).
     pub validity: SharedValidity,
@@ -155,22 +149,6 @@ pub trait ClusterProtocol:
         Self::build_node(ctx, me, role)
     }
 
-    /// The protocol's off-loop message verification hook, if it has one.
-    ///
-    /// Real-time runtimes install it as a per-node pre-verify stage when
-    /// the cluster was built with [`ClusterBuilder::crypto_threads`] ≥ 2
-    /// (see [`fireledger_net::PreVerify`]). `None` — the default — means
-    /// the protocol validates everything on its own loop.
-    fn pre_verifier(_ctx: &BuildContext) -> Option<Arc<dyn PreVerify<Self::Msg>>> {
-        None
-    }
-
-    /// Called by a real-time runtime on the freshly built nodes *after*
-    /// deciding to install this protocol's pre-verify stage, so nodes may
-    /// skip in-loop re-validation of work the stage already performed.
-    /// Never called for simulator runs. The default does nothing.
-    fn enable_preverified_ingress(_nodes: &mut [Self]) {}
-
     /// Installs the cluster's execution shards on this (freshly built)
     /// node — one [`ExecShared`] per worker stream. Called when the cluster
     /// was configured with [`ClusterBuilder::with_execution`], after
@@ -204,13 +182,12 @@ impl ClusterProtocol for ClusterNode {
     const NAME: &'static str = "flo";
 
     fn build_node(ctx: &BuildContext, me: NodeId, role: &NodeRole) -> Result<Self> {
-        let mut flo = FloNode::new(
+        let flo = FloNode::new(
             me,
             ctx.params.clone(),
             ctx.crypto.clone(),
             ctx.validity.clone(),
         );
-        flo.set_crypto_pool(ctx.pool.clone());
         Ok(match role {
             NodeRole::Correct | NodeRole::CrashAt(_) => ClusterNode::Honest(flo),
             NodeRole::Equivocate => {
@@ -233,26 +210,14 @@ impl ClusterProtocol for ClusterNode {
         if role.is_byzantine() {
             return Self::build_node(ctx, me, role);
         }
-        let mut flo = FloNode::recover_from_disk(
+        Ok(ClusterNode::Honest(FloNode::recover_from_disk(
             me,
             ctx.params.clone(),
             ctx.crypto.clone(),
             ctx.validity.clone(),
             store,
             recovered,
-        );
-        flo.set_crypto_pool(ctx.pool.clone());
-        Ok(ClusterNode::Honest(flo))
-    }
-
-    fn pre_verifier(ctx: &BuildContext) -> Option<Arc<dyn PreVerify<Self::Msg>>> {
-        Some(Arc::new(FloPreVerifier::new(ctx)))
-    }
-
-    fn enable_preverified_ingress(nodes: &mut [Self]) {
-        for node in nodes {
-            node.flo_mut().set_preverified_ingress(true);
-        }
+        )))
     }
 
     fn install_execution(&mut self, shards: &[ExecShared]) {
@@ -271,25 +236,13 @@ impl ClusterProtocol for Worker {
         if role.is_byzantine() {
             return Err(unsupported_role(Self::NAME, role));
         }
-        let mut worker = Worker::new(
+        Ok(Worker::new(
             me,
             WorkerId(0),
             ctx.params.clone(),
             ctx.crypto.clone(),
             ctx.validity.clone(),
-        );
-        worker.set_crypto_pool(ctx.pool.clone());
-        Ok(worker)
-    }
-
-    fn pre_verifier(ctx: &BuildContext) -> Option<Arc<dyn PreVerify<Self::Msg>>> {
-        Some(Arc::new(FloPreVerifier::new(ctx)))
-    }
-
-    fn enable_preverified_ingress(nodes: &mut [Self]) {
-        for node in nodes {
-            node.set_preverified_ingress(true);
-        }
+        ))
     }
 
     fn install_execution(&mut self, shards: &[ExecShared]) {
@@ -361,7 +314,6 @@ pub struct ClusterBuilder<P> {
     crypto: Option<SharedCrypto>,
     validity: SharedValidity,
     roles: Vec<NodeRole>,
-    crypto_threads: usize,
     store: Option<(PathBuf, FsyncPolicy)>,
     late_join: Option<(NodeId, u64)>,
     exec: Option<ExecConfig>,
@@ -386,7 +338,6 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
             crypto: None,
             validity: std::sync::Arc::new(AcceptAll),
             roles: vec![NodeRole::Correct; n],
-            crypto_threads: 1,
             store: None,
             late_join: None,
             exec: None,
@@ -455,7 +406,7 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
     pub fn exec_shards(&self) -> Option<&Vec<Vec<ExecShared>>> {
         let cfg = self.exec.as_ref()?;
         Some(self.exec_shards.get_or_init(|| {
-            let pool = CryptoPool::new(self.crypto(), self.crypto_threads);
+            let pool = CryptoPool::inline(self.crypto());
             (0..self.params.n())
                 .map(|_| {
                     (0..self.params.workers)
@@ -549,24 +500,9 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
         self
     }
 
-    /// Width of the cluster's parallel crypto pipeline (default 1 =
-    /// everything inline, the exact pre-pipeline behaviour).
-    ///
-    /// With `threads` ≥ 2, nodes run batchable crypto — block-body merkle
-    /// roots, recovery-version and panic-proof signature batches — through
-    /// a [`CryptoPool`] of that width (clamped to the machine's available
-    /// parallelism), and the real-time runtimes additionally install the
-    /// protocol's [`PreVerify`] stage so inbound messages are verified
-    /// *off* the consensus loop.
-    ///
-    /// The **simulator ignores the width**: it always executes crypto
-    /// inline. Simulated time already charges the modelled cost of every
-    /// operation, and determinism requires a run's results (and its
-    /// RunReport JSON) to be independent of host thread counts — so the
-    /// knob changes real-time wall-clock performance only, never any
-    /// protocol outcome.
-    pub fn crypto_threads(mut self, threads: usize) -> Self {
-        self.crypto_threads = threads.max(1);
+    /// Vestigial and a no-op: every node runs its crypto inline on its own
+    /// loop. Kept because the repo benchmark still calls it.
+    pub fn crypto_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -679,6 +615,12 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
         }
     }
 
+    /// Vestigial: the same as [`ClusterBuilder::build`], kept because the
+    /// repo benchmark still calls it.
+    pub fn build_inline(&self) -> Result<Vec<P>> {
+        self.build()
+    }
+
     /// Builds the cluster: one node per index, with its assigned role.
     ///
     /// # The fault-budget invariant
@@ -692,20 +634,6 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
     /// (Scenario-level crash events and fault-plan node faults are validated
     /// against the same budget by the runtimes, which see both sides.)
     pub fn build(&self) -> Result<Vec<P>> {
-        let crypto = self.crypto();
-        let pool = CryptoPool::new(crypto.clone(), self.crypto_threads);
-        self.build_with_pool(pool)
-    }
-
-    /// [`ClusterBuilder::build`] with the cluster forced onto a fully
-    /// inline crypto pool, regardless of [`ClusterBuilder::crypto_threads`].
-    /// The simulator builds through this so its results (and allocation
-    /// traces) stay bit-identical across pool widths.
-    pub fn build_inline(&self) -> Result<Vec<P>> {
-        self.build_with_pool(CryptoPool::inline(self.crypto()))
-    }
-
-    fn build_with_pool(&self, pool: CryptoPool) -> Result<Vec<P>> {
         let faulty = self.roles.iter().filter(|r| r.is_faulty()).count();
         let f = self.params.f();
         if faulty > f {
@@ -713,8 +641,7 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
         }
         let ctx = BuildContext {
             params: self.params.clone(),
-            crypto: pool.crypto().clone(),
-            pool,
+            crypto: self.crypto(),
             validity: self.validity.clone(),
         };
         // A builder reused across runs must hand each run pristine engines:
@@ -768,15 +695,9 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
     /// fails to *open* on restart degrades to the amnesiac fresh build
     /// rather than taking the thread down.
     pub fn rebuilder(&self) -> Arc<dyn Fn(NodeId) -> P + Send + Sync> {
-        let crypto = self.crypto();
-        // Inline crypto for rebuilt nodes: correct on every runtime (the
-        // pool only affects wall-clock performance), and the simulator
-        // requires it for determinism.
-        let pool = CryptoPool::inline(crypto.clone());
         let ctx = BuildContext {
             params: self.params.clone(),
-            crypto,
-            pool,
+            crypto: self.crypto(),
             validity: self.validity.clone(),
         };
         let roles = self.roles.clone();
@@ -808,23 +729,6 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
             }
             node
         })
-    }
-
-    /// The protocol's pre-verify hook for this cluster, when the pipeline
-    /// is enabled (`crypto_threads` ≥ 2) and the protocol has one. The
-    /// real-time runtimes install it as each node's ingress stage.
-    pub fn pre_verifier(&self) -> Option<Arc<dyn PreVerify<P::Msg>>> {
-        if self.crypto_threads < 2 {
-            return None;
-        }
-        let crypto = self.crypto();
-        let ctx = BuildContext {
-            params: self.params.clone(),
-            crypto: crypto.clone(),
-            pool: CryptoPool::new(crypto, self.crypto_threads),
-            validity: self.validity.clone(),
-        };
-        P::pre_verifier(&ctx)
     }
 }
 

@@ -49,7 +49,6 @@
 mod builder;
 pub mod catalog;
 mod ingress;
-mod preverify;
 mod report;
 mod run;
 mod scenario;
@@ -57,7 +56,6 @@ mod scenario;
 pub use builder::{BuildContext, ClusterBuilder, ClusterProtocol, FloCluster, NodeRole};
 pub use fireledger_net::DEFAULT_REACTOR_THREADS;
 pub use ingress::{ClientFleet, ClusterIngress, IngressLoad, PayloadKind};
-pub use preverify::FloPreVerifier;
 pub use report::{ExecutionReport, IngressLaneReport, IngressReport, NodeDeliveries, RunReport};
 pub use run::{check_delivery_prefixes, Runtime, Simulator, Tcp, Threads};
 pub use scenario::{FaultEvent, Scenario, Topology, Workload};

@@ -305,7 +305,7 @@ pub struct RunReport {
     /// (count).
     pub workers: usize,
     /// OS threads the cluster ran — protocol threads plus every
-    /// runtime-owned helper (socket engine, pre-verify stages, fault delay
+    /// runtime-owned helper (socket engine, fault delay
     /// line, RPC accept loops), snapshotted just before shutdown. `0` on
     /// `"sim"` (inline, nothing to count). This is the measurement behind
     /// the TCP reactor's O(n) scaling claim: a fault-free, ingress-free

@@ -232,36 +232,22 @@ fn dormant_nodes<P: ClusterProtocol>(cluster: &ClusterBuilder<P>) -> Vec<NodeId>
 }
 
 /// Spawns `nodes` on a real-time transport — the socket mesh when
-/// `sockets`, in-process channels otherwise — with the builder's pre-verify
-/// stage, rebuild hook and dormant late joiner.
+/// `sockets`, in-process channels otherwise — with the builder's rebuild
+/// hook and dormant late joiner.
 fn spawn_realtime<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
-    mut nodes: Vec<P>,
+    nodes: Vec<P>,
     faults: Option<FaultPlan>,
     sockets: bool,
 ) -> Result<RealtimeCluster<P::Msg>> {
-    // With the parallel crypto pipeline enabled, install the protocol's
-    // pre-verify stage so inbound messages are validated off-loop, and
-    // tell the nodes their ingress is pre-verified.
-    let pre_verify = cluster.pre_verifier();
-    if pre_verify.is_some() {
-        P::enable_preverified_ingress(&mut nodes);
-    }
     let rebuild = Some(realtime_rebuilder(cluster));
     let dormant = dormant_nodes(cluster);
     if sockets {
-        RealtimeCluster::spawn_engine(
-            nodes,
-            faults,
-            pre_verify,
-            rebuild,
-            &dormant,
-            cluster.tcp_engine(),
-        )
-        .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))
+        RealtimeCluster::spawn_engine(nodes, faults, None, rebuild, &dormant, cluster.tcp_engine())
+            .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))
     } else {
         Ok(RealtimeCluster::spawn_channels(
-            nodes, faults, pre_verify, rebuild, &dormant,
+            nodes, faults, rebuild, &dormant,
         ))
     }
 }
@@ -342,10 +328,7 @@ impl Runtime for Simulator {
         scenario: &Scenario,
     ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
         validate_fault_budget(cluster, scenario)?;
-        // Always an inline crypto pool: simulated time charges the modelled
-        // crypto cost, and determinism requires results independent of any
-        // host thread count (see `ClusterBuilder::crypto_threads`).
-        let nodes = cluster.build_inline()?;
+        let nodes = cluster.build()?;
         let n = nodes.len();
         // The scenario's crash events and builder crash roles always apply;
         // a fault plan layers the full drop/delay/reorder/duplicate +

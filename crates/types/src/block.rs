@@ -214,11 +214,11 @@ impl fmt::Debug for HashMemo {
 ///
 /// The semantics mirror [`HashMemo`] exactly: invisible to equality and
 /// hashing, and `Clone` hands back an empty cache, so the clone-then-mutate
-/// idiom can never serve a stale verdict. The memo is what lets a runtime
-/// verify a header's signature *off* the consensus loop (on a reader or
-/// pre-verify thread) and have the loop read the verdict instead of paying
-/// the verification again: the verified value is *moved* into the loop, and
-/// moves preserve the cache.
+/// idiom can never serve a stale verdict. The memo is what lets a node
+/// verify a header's signature once, where the header arrives, and have
+/// every later check of the stored value (chain validation, fallback
+/// evidence, recovery versions) read the verdict instead of paying the
+/// verification again: moves preserve the cache.
 #[derive(Default)]
 pub struct SigMemo(OnceLock<bool>);
 
@@ -496,10 +496,9 @@ impl SignedHeader {
     }
 
     /// The compute-once cache for this header's signature check.
-    /// `fireledger-crypto`'s `verify_header_cached` goes through this, which
-    /// is what lets a pre-verify stage pay the verification off the node
-    /// loop and the loop read the verdict for free (moves keep the cache;
-    /// clones reset it).
+    /// `fireledger-crypto`'s `verify_header_cached` goes through this, so a
+    /// header verified where it arrives is a cache read for every later
+    /// check of the same value (moves keep the cache; clones reset it).
     pub fn sig_cache(&self) -> &SigMemo {
         &self.sig_cache
     }

@@ -41,8 +41,8 @@ use std::time::Duration;
 const GENESIS_ACCOUNTS: u64 = 32;
 const GENESIS_BALANCE: u64 = 10_000;
 
-fn pool(width: usize) -> CryptoPool {
-    CryptoPool::with_forced_threads(Arc::new(SimKeyStore::generate(4, 0)), width)
+fn pool() -> CryptoPool {
+    CryptoPool::inline(Arc::new(SimKeyStore::generate(4, 0)))
 }
 
 fn exec_at_width(width: usize) -> ExecShared {
@@ -50,7 +50,7 @@ fn exec_at_width(width: usize) -> ExecShared {
         apply_width: width,
         ..ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE)
     };
-    ExecShared::new(&cfg, pool(width))
+    ExecShared::new(&cfg, pool())
 }
 
 fn block(round: u64, txs: Vec<Transaction>) -> Block {
@@ -336,8 +336,8 @@ fn state_root_is_independent_of_block_order_and_delete_detours() {
             apply_width: width,
             ..ExecConfig::default()
         };
-        let forward = ExecShared::new(&cfg, pool(width));
-        let backward = ExecShared::new(&cfg, pool(width));
+        let forward = ExecShared::new(&cfg, pool());
+        let backward = ExecShared::new(&cfg, pool());
         let mut round = 0u64;
         for txs in &blocks {
             forward.enqueue(round, &block(round, txs.clone()));
@@ -358,7 +358,7 @@ fn state_root_is_independent_of_block_order_and_delete_detours() {
 #[test]
 fn a_cloned_state_diverges_independently_of_its_source() {
     let ledger = random_ledger(0xC10E, 40, 48);
-    let crypto = pool(1);
+    let crypto = pool();
     let root = |state: &StateMachine| {
         let root = state.root_with_pool(&crypto, &mut Vec::new(), &mut Vec::new());
         assert_eq!(root, state.root_serial(), "incremental vs from-scratch");
