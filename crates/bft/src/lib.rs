@@ -8,10 +8,10 @@
 //!   view change. The paper's implementation delegates both its atomic
 //!   broadcast and the OBBC fallback to BFT-SMaRt (§6.1.2, Figure 3); this
 //!   module is our from-scratch stand-in for BFT-SMaRt and also serves as the
-//!   BFT-SMaRt baseline ordering service of §7.6;
-//! * [`obbc`] — the **Optimistic Binary Byzantine Consensus** of Appendix A:
-//!   single-communication-step agreement when every node votes the favoured
-//!   value, falling back to a full binary consensus otherwise.
+//!   BFT-SMaRt baseline ordering service of §7.6.
+//!
+//! OBBC (Appendix A) lives in the FireLedger worker, which submits each
+//! attempt's fallback votes to a [`Pbft`] instance.
 //!
 //! All components are sans-IO state machines: they are embedded in a parent
 //! [`fireledger_types::Protocol`] (the FireLedger worker, the WRB service, or
@@ -20,10 +20,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod obbc;
 pub mod pbft;
 pub mod rb;
 
-pub use obbc::{Obbc, ObbcMsg, ObbcOutcome};
 pub use pbft::{Pbft, PbftConfig, PbftMsg};
 pub use rb::{RbMsg, ReliableBroadcast};

@@ -17,7 +17,8 @@
 //!
 //! * [`worker`] — one FireLedger instance (Algorithm 2) with the recovery
 //!   procedure (Algorithm 3), block/header separation, the adaptive timeout
-//!   and the benign failure detector of §6.1.1;
+//!   and the benign failure detector of §6.1.1; each attempt's OBBC
+//!   (Algorithm 4) vote state is a private `obbc` record;
 //! * [`flo`] — the FLO node: ω workers, a client manager and the round-robin
 //!   delivery merge of §6.2;
 //! * [`chain`], [`txpool`], [`validity`], [`timer`], [`fd`], [`proposer`] —
@@ -64,6 +65,7 @@ pub mod chain;
 pub mod fd;
 pub mod flo;
 pub mod messages;
+mod obbc;
 pub mod proposer;
 pub mod sync;
 pub mod timer;

@@ -22,7 +22,8 @@
 //!   exactly as in Figure 3): every node submits its vote plus evidence, and
 //!   the first `n − f` ordered fallback votes determine the outcome (deliver
 //!   iff any of them carries the proposer's signed header). A negative outcome
-//!   rotates the proposer and retries the round.
+//!   rotates the proposer and retries the round. Both paths are the OBBC of
+//!   Algorithm 4, whose per-attempt vote state lives in the `obbc` module.
 //! * If a decided header does **not** extend the local chain — the signature
 //!   is fine but the parent hash disagrees, the signature of an equivocating
 //!   proposer — the worker reliably-broadcasts a [`PanicProof`] and runs the
@@ -34,6 +35,7 @@
 use crate::chain::{Chain, Version};
 use crate::fd::FailureDetector;
 use crate::messages::{ConsensusValue, PanicProof, WorkerMsg};
+use crate::obbc::{Attempt, Step};
 use crate::proposer::ProposerRotation;
 use crate::sync::{ReplyGate, SyncStep, Synchronizer, TIMER_SYNC};
 use crate::timer::EmaTimer;
@@ -50,9 +52,6 @@ use fireledger_types::{
 };
 use std::collections::{HashMap, HashSet};
 
-/// One recorded fallback vote: `(voter, vote, evidence)`.
-type FallbackVoteEntry = (NodeId, bool, Option<SignedHeader>);
-
 /// Timer kind used for the per-round WRB delivery timeout.
 const TIMER_ROUND: u8 = 1;
 /// Timer kind handed to the embedded PBFT instance.
@@ -63,12 +62,6 @@ const TIMER_PBFT: u8 = 0xAB;
 /// pause): trigger a state-sync fetch instead of waiting for normal traffic
 /// to replay the gap.
 const SYNC_LAG_THRESHOLD: u64 = 8;
-
-/// Vote bookkeeping for one `(round, proposer)` attempt.
-#[derive(Debug, Default)]
-struct AttemptVotes {
-    votes: HashMap<NodeId, bool>,
-}
 
 /// State of an ongoing recovery procedure (Algorithm 3).
 #[derive(Debug)]
@@ -117,10 +110,8 @@ pub struct Worker {
     /// Scratch for merkle leaf digests, reused across blocks so steady-state
     /// payload hashing allocates nothing.
     leaf_scratch: Vec<Hash>,
-    votes: HashMap<(Round, NodeId), AttemptVotes>,
-    fallback_votes: HashMap<(Round, NodeId), Vec<FallbackVoteEntry>>,
-    fallback_submitted: HashSet<(Round, NodeId)>,
-    attempt_resolved: HashSet<(Round, NodeId)>,
+    /// OBBC vote state per `(round, proposer)` attempt.
+    attempts: HashMap<(Round, NodeId), Attempt>,
     /// Attempt decided "deliver" but still missing the header or the body.
     pending_finish: Option<(Round, NodeId)>,
     requested_headers: HashSet<(Round, NodeId)>,
@@ -199,10 +190,7 @@ impl Worker {
             bodies: HashMap::new(),
             validated_bodies: HashSet::new(),
             leaf_scratch: Vec::new(),
-            votes: HashMap::new(),
-            fallback_votes: HashMap::new(),
-            fallback_submitted: HashSet::new(),
-            attempt_resolved: HashSet::new(),
+            attempts: HashMap::new(),
             pending_finish: None,
             requested_headers: HashSet::new(),
             requested_bodies: HashSet::new(),
@@ -246,16 +234,6 @@ impl Worker {
         self.round
     }
 
-    /// The current proposer.
-    pub fn current_proposer(&self) -> NodeId {
-        self.proposer
-    }
-
-    /// Whether the worker is inside the recovery procedure.
-    pub fn is_recovering(&self) -> bool {
-        self.recovery.is_some()
-    }
-
     /// Whether a state-sync (catch-up) fetch is in progress.
     pub fn is_syncing(&self) -> bool {
         self.sync.is_active()
@@ -285,11 +263,6 @@ impl Worker {
     /// routing uses this).
     pub fn pool_len(&self) -> usize {
         self.txpool.len()
-    }
-
-    /// Submits a transaction directly to this worker's pool.
-    pub fn submit_transaction(&mut self, tx: Transaction) -> bool {
-        self.txpool.submit(tx)
     }
 
     // ------------------------------------------------------------------
@@ -403,8 +376,10 @@ impl Worker {
         TimerId::compose(TIMER_ROUND, self.round.0)
     }
 
-    fn quorum(&self) -> usize {
-        self.params.quorum()
+    /// The attempt record for `key`, created empty on first use.
+    fn attempt(&mut self, key: (Round, NodeId)) -> &mut Attempt {
+        let n = self.params.n();
+        self.attempts.entry(key).or_insert_with(|| Attempt::new(n))
     }
 
     fn begin_attempt(&mut self, candidate: NodeId, out: &mut Outbox<WorkerMsg>) {
@@ -653,13 +628,9 @@ impl Worker {
             vote,
             piggyback,
         });
-        // Record our own vote.
-        let key = (self.round, self.proposer);
-        self.votes
-            .entry(key)
-            .or_default()
-            .votes
-            .insert(self.me, vote);
+        let me = self.me;
+        self.attempt((self.round, self.proposer))
+            .record_own_vote(me, vote);
         self.check_current_attempt(out);
     }
 
@@ -672,59 +643,33 @@ impl Worker {
             return;
         }
         let key = (self.round, self.proposer);
-        if self.attempt_resolved.contains(&key) {
-            return;
-        }
-
-        // Fast path: n − f votes, all "deliver", including our own.
-        if self.voted {
-            if let Some(attempt) = self.votes.get(&key) {
-                if attempt.votes.len() >= self.quorum() {
-                    if attempt.votes.values().all(|v| *v) {
-                        self.attempt_resolved.insert(key);
-                        self.finish_delivery(key, out);
-                        return;
-                    }
-                    // Mixed votes: invoke the fallback consensus once.
-                    self.submit_fallback_vote(key, out);
-                }
-            }
-        }
-
-        // Fallback decision: the first n − f ordered fallback votes.
-        let decision = {
-            let Some(fv) = self.fallback_votes.get(&key) else {
+        let quorum = self.params.quorum();
+        // Loop: submitting our fallback vote may order enough votes to
+        // decide at once.
+        loop {
+            let Some(attempt) = self.attempts.get_mut(&key) else {
                 return;
             };
-            if fv.len() < self.quorum() {
-                return;
+            match attempt.step(quorum, self.voted) {
+                Step::Wait => return,
+                Step::Fallback => self.submit_fallback_vote(key, out),
+                Step::Decide(true) => return self.finish_delivery(key, out),
+                Step::Decide(false) => return self.nil_attempt(out),
             }
-            fv.iter()
-                .take(self.quorum())
-                .any(|(_, _, evidence)| evidence.is_some())
-        };
-        self.attempt_resolved.insert(key);
-        if decision {
-            self.finish_delivery(key, out);
-        } else {
-            self.nil_attempt(out);
         }
     }
 
     fn submit_fallback_vote(&mut self, key: (Round, NodeId), out: &mut Outbox<WorkerMsg>) {
-        if self.fallback_submitted.contains(&key) {
+        let me = self.me;
+        let attempt = self.attempt(key);
+        if !attempt.mark_submitted() {
             return;
         }
-        self.fallback_submitted.insert(key);
+        let my_vote = attempt.vote_of(me).unwrap_or(false);
         out.observe(Observation::FallbackInvoked {
             worker: self.worker_id,
             round: key.0,
         });
-        let my_vote = self
-            .votes
-            .get(&key)
-            .and_then(|a| a.votes.get(&self.me).copied())
-            .unwrap_or(false);
         let evidence = if my_vote {
             self.headers.get(&key).cloned()
         } else {
@@ -1032,11 +977,8 @@ impl Worker {
 
         // Drop attempt state for every round the recovery may have replaced.
         let base = state.base;
-        self.votes.retain(|(r, _), _| *r < base);
+        self.attempts.retain(|(r, _), _| *r < base);
         self.headers.retain(|(r, p), _| *r < base || *p == self.me);
-        self.attempt_resolved.retain(|(r, _)| *r < base);
-        self.fallback_submitted.retain(|(r, _)| *r < base);
-        self.fallback_votes.retain(|(r, _), _| *r < base);
         self.pending_finish = None;
         self.my_header_sent.retain(|r| *r < base);
 
@@ -1122,12 +1064,7 @@ impl Worker {
         if let Some(signed) = piggyback {
             self.store_header(from, signed, out);
         }
-        self.votes
-            .entry((round, proposer))
-            .or_default()
-            .votes
-            .entry(from)
-            .or_insert(vote);
+        self.attempt((round, proposer)).record_vote(from, vote);
         if (round, proposer) == (self.round, self.proposer) {
             self.maybe_vote(out);
             self.check_current_attempt(out);
@@ -1151,9 +1088,10 @@ impl Worker {
                 round,
                 proposer,
                 voter,
-                vote,
+                vote: _,
                 evidence,
             } => {
+                let key = (round, proposer);
                 // Validate the evidence before counting it (the external
                 // validity of OBBC_v).
                 let evidence = evidence.filter(|signed| {
@@ -1161,21 +1099,18 @@ impl Worker {
                         && signed.proposer() == proposer
                         && verify_header_cached(self.crypto.as_ref(), signed)
                 });
-                if let Some(signed) = evidence.clone() {
+                let has_evidence = evidence.is_some();
+                if let Some(signed) = evidence {
                     // The evidence also tells us the header, useful if we
                     // never saw it on the optimistic path.
-                    let key = (signed.round(), signed.proposer());
                     self.headers.entry(key).or_insert(signed);
                 }
-                let key = (round, proposer);
-                let entry = self.fallback_votes.entry(key).or_default();
-                if !entry.iter().any(|(v, _, _)| *v == voter) {
-                    entry.push((voter, vote, evidence));
-                }
+                let attempt = self.attempt(key);
+                attempt.record_fallback(voter, has_evidence);
                 // Participation rule (Algorithm 4, lines OB26–OB27): if the
                 // fallback is running for an attempt we already resolved
                 // optimistically, contribute our vote so it can terminate.
-                if self.attempt_resolved.contains(&key) {
+                if attempt.is_resolved() {
                     self.submit_fallback_vote(key, out);
                 }
                 if key == (self.round, self.proposer) {
@@ -1799,7 +1734,7 @@ mod tests {
         assert_eq!(w.node(), NodeId(2));
         assert_eq!(w.worker_id(), WorkerId(0));
         assert_eq!(w.round(), Round(0));
-        assert!(!w.is_recovering());
+        assert!(w.recovery.is_none());
         assert_eq!(w.pool_len(), 0);
     }
 
@@ -1895,5 +1830,85 @@ mod tests {
         };
         assert!(reply(junk_txs(genuine.len())).is_empty(), "junk delivered");
         assert_eq!(reply(genuine.clone()), vec![genuine]);
+    }
+
+    fn observations(out: Outbox<WorkerMsg>) -> Vec<Observation> {
+        out.into_actions()
+            .into_iter()
+            .filter_map(|a| match a {
+                fireledger_types::Action::Observe(o) => Some(o),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fallback_votes_from_non_members_are_not_counted() {
+        let mut workers = cluster(4, 8);
+        // Node 0 proposes round 0; node 1 receives its header, body and
+        // "deliver" vote, then a "skip" vote from node 3: a mixed quorum.
+        let mut out = Outbox::new();
+        workers[0].on_start(&mut out);
+        let mut header = None;
+        let mut w1_inbox = Vec::new();
+        for action in out.into_actions() {
+            if let fireledger_types::Action::Broadcast { msg } = action {
+                if let WorkerMsg::Header { header: signed } = &msg {
+                    header = Some(signed.clone());
+                }
+                w1_inbox.push(msg);
+            }
+        }
+        let header = header.expect("node 0 proposes round 0");
+        let w1 = &mut workers[1];
+        let mut out = Outbox::new();
+        w1.on_start(&mut out);
+        for msg in w1_inbox {
+            w1.on_message(NodeId(0), msg, &mut out);
+        }
+        let skip = WorkerMsg::Vote {
+            round: Round(0),
+            proposer: NodeId(0),
+            vote: false,
+            piggyback: None,
+        };
+        w1.on_message(NodeId(3), skip, &mut out);
+        assert!(observations(out)
+            .iter()
+            .any(|o| matches!(o, Observation::FallbackInvoked { .. })));
+
+        // Three ordered fallback votes under ids outside the cluster.
+        let fallback = |voter: u32, evidence: Option<SignedHeader>| ConsensusValue::FallbackVote {
+            round: Round(0),
+            proposer: NodeId(0),
+            voter: NodeId(voter),
+            vote: evidence.is_some(),
+            evidence,
+        };
+        let mut out = Outbox::new();
+        for voter in 4..7 {
+            w1.handle_consensus_value(fallback(voter, None), &mut out);
+        }
+        assert!(
+            !observations(out)
+                .iter()
+                .any(|o| matches!(o, Observation::NilDelivery { .. })),
+            "non-member votes decided the attempt"
+        );
+        assert_eq!((w1.round, w1.proposer), (Round(0), NodeId(0)));
+
+        // The members' fallback votes, which carry evidence, still decide.
+        let mut out = Outbox::new();
+        for voter in 0..3 {
+            w1.handle_consensus_value(fallback(voter, Some(header.clone())), &mut out);
+        }
+        assert!(observations(out).iter().any(|o| matches!(
+            o,
+            Observation::TentativeDecision {
+                round: Round(0),
+                ..
+            }
+        )));
+        assert_eq!(w1.round(), Round(1));
     }
 }

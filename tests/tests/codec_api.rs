@@ -17,7 +17,7 @@
 use fireledger::{ConsensusValue, FloMsg, PanicProof, WorkerMsg};
 use fireledger_baselines::hotstuff::QuorumCert;
 use fireledger_baselines::{HotStuffMsg, OrderedBatch};
-use fireledger_bft::{ObbcMsg, PbftMsg, RbMsg};
+use fireledger_bft::{PbftMsg, RbMsg};
 use fireledger_store::{decode_footer, encode_footer, encode_record, scan_records, REC_BLOCK};
 use fireledger_types::codec::FrameHeader;
 use fireledger_types::rpc::{Lane, RejectReason, RpcMsg, SubmitStatus};
@@ -207,23 +207,6 @@ fn bft_messages_satisfy_the_codec_contract() {
         PbftMsg::NewView {
             view: 2,
             preprepares: vec![(3, 9u64)],
-        },
-    ] {
-        assert_codec_contract(&msg, &mut scratch);
-    }
-    for msg in [
-        ObbcMsg::Vote {
-            instance: 9,
-            value: true,
-        },
-        ObbcMsg::EvidenceRequest { instance: 9 },
-        ObbcMsg::EvidenceReply {
-            instance: 9,
-            evidence: Some(signed_header()),
-        },
-        ObbcMsg::EvidenceReply {
-            instance: 10,
-            evidence: None,
         },
     ] {
         assert_codec_contract(&msg, &mut scratch);
