@@ -330,16 +330,6 @@ where
         self.leader() == self.me
     }
 
-    /// Total values delivered so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.stats_delivered
-    }
-
-    /// Sequence number of the next delivery.
-    pub fn next_delivery_seq(&self) -> u64 {
-        self.next_delivery
-    }
-
     fn timer_id(&self) -> TimerId {
         TimerId::compose(self.config.timer_kind, self.timer_generation)
     }
@@ -909,8 +899,8 @@ mod tests {
         net.submit(0, 1);
         net.submit(0, 2);
         net.submit(0, 3);
-        assert_eq!(net.nodes[2].delivered_count(), 3);
-        assert_eq!(net.nodes[2].next_delivery_seq(), 3);
+        assert_eq!(net.nodes[2].stats_delivered, 3);
+        assert_eq!(net.nodes[2].next_delivery, 3);
         assert!(net.nodes[0].is_leader());
         assert!(!net.nodes[1].is_leader());
     }

@@ -248,18 +248,6 @@ where
         }
         delivered
     }
-
-    /// True when the broadcast `(origin, tag)` has been delivered locally.
-    pub fn is_delivered(&self, origin: NodeId, tag: u64) -> bool {
-        self.instances
-            .get(&(origin, tag))
-            .is_some_and(|i| i.delivered)
-    }
-
-    /// Number of RB instances this endpoint is tracking.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +325,7 @@ mod tests {
         );
         for i in 0..4 {
             assert_eq!(net.delivered[i], vec![(NodeId(0), 0, 42)], "node {i}");
-            assert!(net.nodes[i].is_delivered(NodeId(0), 0));
+            assert!(net.nodes[i].instances[&(NodeId(0), 0)].delivered);
         }
     }
 

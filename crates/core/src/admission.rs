@@ -28,8 +28,8 @@
 //! drops silently — and every count is exact, surfaced through
 //! [`IngressGate::stats`] into the run report's `ingress` section.
 //!
-//! The gate is runtime-agnostic: the TCP listener, the threaded runtime's
-//! channel port and the simulator's sliced driver all feed the same
+//! The gate is runtime-agnostic: the TCP listener and the simulator's
+//! sliced driver both feed the same
 //! [`IngressGate::handle`] entry point, which keeps the admission matrix
 //! one implementation wide.
 

@@ -97,11 +97,6 @@ impl Chain {
         Round(self.entries.len() as u64)
     }
 
-    /// The round of the newest decided block, if any.
-    pub fn tip_round(&self) -> Option<Round> {
-        self.entries.last().map(|e| e.round())
-    }
-
     /// Hash of the tip header (the parent the next block must reference), or
     /// the genesis hash for an empty chain.
     pub fn tip_hash(&self) -> Hash {
@@ -410,7 +405,6 @@ mod tests {
         assert_eq!(chain.next_round(), Round(0));
         assert_eq!(chain.tip_hash(), GENESIS_HASH);
         assert_eq!(chain.parent_hash_for(Round(0)), Some(GENESIS_HASH));
-        assert!(chain.tip_round().is_none());
     }
 
     #[test]

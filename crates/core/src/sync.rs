@@ -178,26 +178,12 @@ impl Synchronizer {
         self.rounds_fetched
     }
 
-    /// The peer currently serving this sync cycle, if any.
-    pub fn current_peer(&self) -> Option<NodeId> {
-        self.peer
-    }
-
     /// Whether `p` is currently serving a quarantine sentence (struck and
     /// not yet past its release cycle).
     pub fn is_quarantined(&self, p: NodeId) -> bool {
         self.quarantined
             .get(&p)
             .is_some_and(|q| q.released_at_cycle > self.probe_cycle)
-    }
-
-    /// Peers currently under quarantine.
-    pub fn quarantined_peers(&self) -> Vec<NodeId> {
-        self.quarantined
-            .keys()
-            .copied()
-            .filter(|p| self.is_quarantined(*p))
-            .collect()
     }
 
     fn fresh_req(&mut self) -> u64 {
@@ -465,6 +451,17 @@ impl Synchronizer {
 mod tests {
     use super::*;
     use fireledger_types::{Action, BlockHeader, Signature, GENESIS_HASH};
+
+    impl Synchronizer {
+        /// Peers currently under quarantine.
+        fn quarantined_peers(&self) -> Vec<NodeId> {
+            self.quarantined
+                .keys()
+                .copied()
+                .filter(|p| self.is_quarantined(*p))
+                .collect()
+        }
+    }
 
     fn header(round: u64) -> SignedHeader {
         SignedHeader::new(

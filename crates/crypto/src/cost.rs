@@ -66,12 +66,6 @@ impl CostModel {
         }
     }
 
-    /// Overrides the number of cores.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores.max(1);
-        self
-    }
-
     /// Measures the real cost of this workspace's signature
     /// ([`crate::LamportKeyStore`]) and SHA-256 implementations on the local
     /// machine. `iters` controls how many operations are timed; a few hundred
@@ -164,6 +158,14 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// Overrides the number of cores.
+        fn with_cores(mut self, cores: usize) -> Self {
+            self.cores = cores.max(1);
+            self
+        }
+    }
 
     #[test]
     fn presets_are_sane() {

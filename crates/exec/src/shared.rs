@@ -81,12 +81,6 @@ impl ExecConfig {
             ..ExecConfig::default()
         }
     }
-
-    /// Sets the stage-queue bound (`0` = unbounded).
-    pub fn with_max_queue(mut self, max_queue: usize) -> Self {
-        self.max_queue = max_queue;
-        self
-    }
 }
 
 /// The round `f + 3` lag between a header and the executed prefix whose
@@ -419,12 +413,6 @@ impl ExecShared {
         }
     }
 
-    /// Blocks queued for the stage right now (0 in inline mode's steady
-    /// state — inline enqueues drain before returning).
-    pub fn queue_len(&self) -> usize {
-        self.lock().queue.len()
-    }
-
     /// The state root after executing delivered rounds `0..=?` — `None`
     /// asks for the genesis root (always available); `Some(j)` returns
     /// `None` only when round `j` has not been *delivered* yet (or its root
@@ -668,14 +656,17 @@ mod tests {
 
     #[test]
     fn bounded_queue_blocks_enqueue_until_the_stage_frees_a_slot() {
-        let cfg = ExecConfig::with_genesis(4, 1000).with_max_queue(2);
+        let cfg = ExecConfig {
+            max_queue: 2,
+            ..ExecConfig::with_genesis(4, 1000)
+        };
         let exec = ExecShared::new(&cfg, pool());
         // Attach the stage flag without running a stage thread, so the
         // queue only drains when the test says so.
         exec.attach_stage();
         exec.enqueue(0, &block(0, vec![]));
         exec.enqueue(1, &block(1, vec![]));
-        assert_eq!(exec.queue_len(), 2);
+        assert_eq!(exec.lock().queue.len(), 2);
 
         // A third enqueue must block on the bound...
         let blocked = {
@@ -692,7 +683,7 @@ mod tests {
         // its block on the (now shorter) queue.
         exec.finish();
         blocked.join().expect("blocked producer");
-        assert_eq!(exec.queue_len(), 1);
+        assert_eq!(exec.lock().queue.len(), 1);
         exec.finish();
         assert_eq!(exec.stats().executed_blocks, 3);
         assert_eq!(exec.stats().last_round, Some(2));
@@ -700,7 +691,10 @@ mod tests {
 
     #[test]
     fn teardown_releases_a_producer_blocked_on_the_bound() {
-        let cfg = ExecConfig::with_genesis(2, 10).with_max_queue(1);
+        let cfg = ExecConfig {
+            max_queue: 1,
+            ..ExecConfig::with_genesis(2, 10)
+        };
         let exec = ExecShared::new(&cfg, pool());
         exec.attach_stage();
         exec.enqueue(0, &block(0, vec![]));
@@ -713,7 +707,11 @@ mod tests {
         // Shutdown must wake the producer, which drops its block.
         exec.shutdown_stage();
         blocked.join().expect("blocked producer");
-        assert_eq!(exec.queue_len(), 1, "the dropped block was not queued");
+        assert_eq!(
+            exec.lock().queue.len(),
+            1,
+            "the dropped block was not queued"
+        );
     }
 
     #[test]

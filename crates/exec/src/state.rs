@@ -161,11 +161,6 @@ impl StateMachine {
         apply_op_on(self, op)
     }
 
-    /// Number of existing accounts.
-    pub fn account_count(&self) -> usize {
-        self.trie.len(Namespace::Account)
-    }
-
     /// Number of live KV entries.
     pub fn kv_count(&self) -> usize {
         self.trie.len(Namespace::Kv)
@@ -174,11 +169,6 @@ impl StateMachine {
     /// The account stored under `id`, if any (test/inspection helper).
     pub fn account_state(&self, id: u64) -> Option<Account> {
         self.account(id)
-    }
-
-    /// The value stored under `key`, if any (test/inspection helper).
-    pub fn kv_state(&self, key: u64) -> Option<Bytes> {
-        self.kv_get(key)
     }
 
     /// Iterates the accounts in id order (the parallel apply path extracts
@@ -368,7 +358,7 @@ mod tests {
                 );
             }
             assert_eq!(Model::of(&state), model, "stream {stream}");
-            assert_eq!(state.account_count(), model.accounts.len());
+            assert_eq!(state.trie.len(Namespace::Account), model.accounts.len());
             assert_eq!(state.kv_count(), model.kv.len());
             assert!(state.accounts().eq(model.accounts.iter()));
         }
@@ -424,7 +414,7 @@ mod tests {
             let mut second = StateMachine::new();
             for (key, value) in entries {
                 let stray = rng.next_u64();
-                if first.kv_state(stray).is_none() {
+                if first.kv_get(stray).is_none() {
                     second.kv_set(stray, Bytes::from(vec![1]));
                     cached_root(&second);
                     second.kv_delete(stray);
@@ -796,7 +786,7 @@ mod tests {
             }),
             Receipt::Applied
         );
-        assert_eq!(s.kv_state(7), Some(v1.clone()));
+        assert_eq!(s.kv_get(7), Some(v1.clone()));
         assert_eq!(
             s.apply_op(&TxOp::Cas {
                 key: 7,
@@ -805,7 +795,7 @@ mod tests {
             }),
             Receipt::Applied
         );
-        assert_eq!(s.kv_state(7), Some(v2.clone()));
+        assert_eq!(s.kv_get(7), Some(v2.clone()));
         // Put / delete are unconditional; deleting twice is still Applied.
         assert_eq!(
             s.apply_op(&TxOp::KvPut { key: 8, value: v1 }),
@@ -813,7 +803,7 @@ mod tests {
         );
         assert_eq!(s.apply_op(&TxOp::KvDelete { key: 8 }), Receipt::Applied);
         assert_eq!(s.apply_op(&TxOp::KvDelete { key: 8 }), Receipt::Applied);
-        assert_eq!(s.kv_state(8), None);
+        assert_eq!(s.kv_get(8), None);
     }
 
     #[test]

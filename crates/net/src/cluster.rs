@@ -1,32 +1,23 @@
 //! The real-time cluster host: one thread per node running the shared event
-//! loop ([`crate::node_loop`]), over one of two transports.
+//! loop ([`crate::node_loop`]) over a static localhost socket mesh.
 //!
-//! [`RealtimeCluster`] has exactly two constructors, one per transport:
-//!
-//! * [`RealtimeCluster::spawn_channels`] — in-process `mpsc` channels
-//!   (reliable, FIFO — the paper's link model); messages are moved, never
-//!   serialized;
-//! * [`RealtimeCluster::spawn_engine`] — a static localhost `TcpStream`
-//!   mesh multiplexed by the reactor; every message is encoded, framed and
-//!   decoded.
-//!
-//! Every lifecycle operation — submit, crash, pause, resume, kill, restart,
-//! observe — has one body here; only client RPC, thread accounting and
-//! teardown look at the transport.
+//! [`RealtimeCluster::spawn_engine`] (in `tcp.rs`) builds it: every
+//! message is encoded, framed, written to a real `TcpStream` multiplexed by
+//! the reactor, and decoded on the far side. Every lifecycle operation —
+//! submit, crash, pause, resume, kill, restart, observe, client RPC,
+//! teardown — has one body here.
 
-use crate::node_loop::{
-    run_node, DeliveryLog, Egress, NodeEvent, NodeFlags, Rebuild, STATUS_KILLED,
-};
+use crate::node_loop::{DeliveryLog, NodeEvent, NodeFlags, STATUS_KILLED};
 use crate::reactor::Reactor;
 use crate::rpc::{RpcClient, RpcHandler, RpcServer};
 use crate::shim::DelayLine;
 use crate::NodeStatus;
 use fireledger_types::rpc::RpcMsg;
-use fireledger_types::{Delivery, NodeId, Protocol, Transaction};
+use fireledger_types::{Delivery, NodeId, Transaction};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,108 +28,28 @@ use std::time::{Duration, Instant};
 pub type TcpCluster<M> = RealtimeCluster<M>;
 
 /// A running real-time cluster: one OS thread per node, wall-clock timers,
-/// and either in-process channels or a real socket mesh between the nodes.
+/// and a real socket mesh between the nodes.
 ///
-/// A driver written against it (like the `Threads` and `Tcp` runtimes in
-/// `fireledger-runtime`) works unchanged on both transports.
+/// The `Tcp` runtime of `fireledger-runtime` is the driver written against
+/// it.
 pub struct RealtimeCluster<M> {
-    evt_senders: Vec<Sender<NodeEvent<M>>>,
-    log: Arc<DeliveryLog>,
-    flags: NodeFlags,
-    node_handles: Vec<JoinHandle<()>>,
-    transport: Transport<M>,
-}
-
-/// What carries messages between the node threads.
-pub(crate) enum Transport<M> {
-    /// In-process channels.
-    Channels {
-        /// Fault-plan delay line re-injecting parked events.
-        delay: Option<DelayLine<NodeEvent<M>>>,
-        /// The ingress handler installed by [`RealtimeCluster::serve_rpc`].
-        rpc: Option<Arc<dyn RpcHandler>>,
-    },
-    /// The localhost socket mesh.
-    Sockets {
-        /// The reactor pool; `None` for a single-node cluster (no sockets).
-        reactor: Option<Reactor>,
-        /// Every stream endpoint (two per connection), shut down at teardown
-        /// so the reactor's pending state machines fail and its pool drains.
-        streams: Vec<TcpStream>,
-        /// Fault-plan delay line re-injecting parked frames.
-        delay: Option<DelayLine<Arc<Vec<u8>>>>,
-        /// Per-node client listeners, once [`RealtimeCluster::serve_rpc`]
-        /// ran.
-        rpc: Option<RpcServer>,
-        /// Lazily-dialed client connections backing
-        /// [`RealtimeCluster::rpc_call`], one slot per node; a transport
-        /// error drops the slot so the next call redials.
-        rpc_clients: Mutex<Vec<Option<RpcClient>>>,
-    },
-}
-
-/// The transport-independent half of a cluster, set up before any node
-/// thread starts: one event channel per node, the delivery logs, the flag
-/// banks.
-pub(crate) struct Wiring<M> {
     pub(crate) evt_senders: Vec<Sender<NodeEvent<M>>>,
-    receivers: Vec<Receiver<NodeEvent<M>>>,
     pub(crate) log: Arc<DeliveryLog>,
-    flags: NodeFlags,
-}
-
-impl<M: Clone + Send + Sync + 'static> Wiring<M> {
-    /// Wires `n` nodes. A `dormant` node (late join) has its kill flag
-    /// pre-set, so its thread drops the state machine without ever starting
-    /// it and a later [`RealtimeCluster::restart`] brings it up mid-run.
-    pub(crate) fn new(n: usize, dormant: &[NodeId]) -> Self {
-        let (evt_senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
-        let log = Arc::new(DeliveryLog::new(n));
-        let flags = NodeFlags::new(n);
-        for node in dormant {
-            flags.killed[node.as_usize()].store(true, Ordering::SeqCst);
-        }
-        Wiring {
-            evt_senders,
-            receivers,
-            log,
-            flags,
-        }
-    }
-
-    /// Starts one thread per node — `nodes[i]` sending through
-    /// `egresses[i]` — and assembles the cluster around `transport`.
-    pub(crate) fn launch<P, E>(
-        self,
-        nodes: Vec<P>,
-        egresses: Vec<E>,
-        rebuild: Option<Rebuild<P>>,
-        transport: Transport<M>,
-    ) -> RealtimeCluster<M>
-    where
-        P: Protocol<Msg = M> + Send + 'static,
-        E: Egress<M> + Send + 'static,
-    {
-        let node_handles = nodes
-            .into_iter()
-            .zip(self.receivers)
-            .zip(egresses)
-            .enumerate()
-            .map(|(i, ((node, rx), mut egress))| {
-                let (log, flags, rebuild) = (self.log.clone(), self.flags.clone(), rebuild.clone());
-                std::thread::spawn(move || {
-                    run_node(node, NodeId(i as u32), rx, &mut egress, log, flags, rebuild);
-                })
-            })
-            .collect();
-        RealtimeCluster {
-            evt_senders: self.evt_senders,
-            log: self.log,
-            flags: self.flags,
-            node_handles,
-            transport,
-        }
-    }
+    pub(crate) flags: NodeFlags,
+    pub(crate) node_handles: Vec<JoinHandle<()>>,
+    /// The reactor pool; `None` for a single-node cluster (no sockets).
+    pub(crate) reactor: Option<Reactor>,
+    /// Every stream endpoint (two per connection), shut down at teardown so
+    /// the reactor's pending state machines fail and its pool drains.
+    pub(crate) streams: Vec<TcpStream>,
+    /// Fault-plan delay line re-injecting parked frames.
+    pub(crate) delay: Option<DelayLine<Arc<Vec<u8>>>>,
+    /// Per-node client listeners, once [`RealtimeCluster::serve_rpc`] ran.
+    pub(crate) rpc: Option<RpcServer>,
+    /// Lazily-dialed client connections backing
+    /// [`RealtimeCluster::rpc_call`], one slot per node; a transport error
+    /// drops the slot so the next call redials.
+    pub(crate) rpc_clients: Mutex<Vec<Option<RpcClient>>>,
 }
 
 impl<M: Send + Sync + 'static> RealtimeCluster<M> {
@@ -191,7 +102,7 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
     /// Restarts a killed `node` through the rebuild hook the cluster was
     /// spawned with (ignored without one): the node is reconstructed —
     /// typically from its durable store — and rejoins on its original
-    /// channels or sockets. Observed within the thread's poll interval.
+    /// sockets. Observed within the thread's poll interval.
     pub fn restart(&self, node: NodeId) {
         self.flags.restarts[node.as_usize()].store(true, Ordering::SeqCst);
     }
@@ -222,91 +133,57 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
     }
 
     /// Starts the client RPC front end (WIRE_FORMAT.md §11) and returns one
-    /// listener address per node — none on channels, where
-    /// [`RealtimeCluster::rpc_call`] calls `handler` directly. Accepted
-    /// submissions enter the node through the same event channel as
-    /// [`RealtimeCluster::submit`]. Call once, before driving traffic.
+    /// listener address per node. Accepted submissions enter the node
+    /// through the same event channel as [`RealtimeCluster::submit`]. Call
+    /// once, before driving traffic.
     pub fn serve_rpc(&mut self, handler: Arc<dyn RpcHandler>) -> io::Result<Vec<SocketAddr>> {
-        match &mut self.transport {
-            Transport::Channels { rpc, .. } => {
-                *rpc = Some(handler);
-                Ok(Vec::new())
-            }
-            Transport::Sockets { rpc, .. } => {
-                assert!(rpc.is_none(), "serve_rpc is once per cluster");
-                let submitters = self
-                    .evt_senders
-                    .iter()
-                    .map(|evt_tx| {
-                        let evt_tx = evt_tx.clone();
-                        move |tx: Transaction| {
-                            let _ = evt_tx.send(NodeEvent::Transaction(tx));
-                        }
-                    })
-                    .collect();
-                let server = RpcServer::spawn(handler, submitters)?;
-                let addrs = server.addrs().to_vec();
-                *rpc = Some(server);
-                Ok(addrs)
-            }
-        }
+        assert!(self.rpc.is_none(), "serve_rpc is once per cluster");
+        let submitters = self
+            .evt_senders
+            .iter()
+            .map(|evt_tx| {
+                let evt_tx = evt_tx.clone();
+                move |tx: Transaction| {
+                    let _ = evt_tx.send(NodeEvent::Transaction(tx));
+                }
+            })
+            .collect();
+        let server = RpcServer::spawn(handler, submitters)?;
+        let addrs = server.addrs().to_vec();
+        self.rpc = Some(server);
+        Ok(addrs)
     }
 
-    /// Serves one client RPC against `node`'s ingress: a direct handler
-    /// call on channels, a real socket round trip (framed, written to the
-    /// node's client port, reply decoded — the full §11 wire path) on
-    /// sockets. `None` when no ingress is served or the transport failed
-    /// (the connection is redialed on the next call) — a client treats
-    /// that like a lost connection and retries.
+    /// Serves one client RPC against `node`'s ingress over a real socket
+    /// round trip: framed, written to the node's client port, reply decoded
+    /// — the full §11 wire path. `None` when no ingress is served or the
+    /// transport failed (the connection is redialed on the next call) — a
+    /// client treats that like a lost connection and retries.
     pub fn rpc_call(&self, node: NodeId, msg: &RpcMsg) -> Option<RpcMsg> {
-        match &self.transport {
-            Transport::Channels { rpc, .. } => {
-                let (reply, tx) = rpc.as_ref()?.handle(node, msg);
-                if let Some(tx) = tx {
-                    self.submit(node, tx);
-                }
-                Some(reply)
-            }
-            Transport::Sockets {
-                rpc, rpc_clients, ..
-            } => {
-                let addr = *rpc.as_ref()?.addrs().get(node.as_usize())?;
-                let mut pool = rpc_clients.lock().expect("rpc client pool");
-                let slot = pool.get_mut(node.as_usize())?;
-                if slot.is_none() {
-                    *slot = RpcClient::connect(addr).ok();
-                }
-                let reply = slot.as_mut()?.call(msg);
-                if reply.is_err() {
-                    *slot = None;
-                }
-                reply.ok()
-            }
+        let addr = *self.rpc.as_ref()?.addrs().get(node.as_usize())?;
+        let mut pool = self.rpc_clients.lock().expect("rpc client pool");
+        let slot = pool.get_mut(node.as_usize())?;
+        if slot.is_none() {
+            *slot = RpcClient::connect(addr).ok();
         }
+        let reply = slot.as_mut()?.call(msg);
+        if reply.is_err() {
+            *slot = None;
+        }
+        reply.ok()
     }
 
-    /// OS threads the cluster runs right now: node threads, and on sockets the reactor pool, the fault delay line and the
-    /// RPC accept threads (transient per-client connection threads are
-    /// bounded by the listener's pool, not by cluster size, and excluded).
-    /// A fault-free, ingress-free socket cluster counts exactly
-    /// `n + DEFAULT_REACTOR_THREADS` — the reactor's O(n) claim.
+    /// OS threads the cluster runs right now: node threads, the reactor
+    /// pool, the fault delay line and the RPC accept threads (transient
+    /// per-client connection threads are bounded by the listener's pool,
+    /// not by cluster size, and excluded). A fault-free, ingress-free
+    /// cluster counts exactly `n + DEFAULT_REACTOR_THREADS` — the reactor's
+    /// O(n) claim.
     pub fn thread_count(&self) -> usize {
-        let transport = match &self.transport {
-            // The channel delay line has never been counted; kept so that
-            // threads-runtime reports do not move.
-            Transport::Channels { .. } => 0,
-            Transport::Sockets {
-                reactor,
-                delay,
-                rpc,
-                ..
-            } => {
-                reactor.as_ref().map_or(0, Reactor::thread_count)
-                    + usize::from(delay.is_some())
-                    + rpc.as_ref().map_or(0, RpcServer::accept_threads)
-            }
-        };
-        self.node_handles.len() + transport
+        self.node_handles.len()
+            + self.reactor.as_ref().map_or(0, Reactor::thread_count)
+            + usize::from(self.delay.is_some())
+            + self.rpc.as_ref().map_or(0, RpcServer::accept_threads)
     }
 
     /// Stops every thread, closes every socket, and returns the final
@@ -316,20 +193,19 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
             evt_senders,
             log,
             node_handles,
-            mut transport,
+            reactor,
+            streams,
+            delay,
+            rpc,
+            mut rpc_clients,
             ..
         } = self;
         // Client listeners close first: no new submissions enter a cluster
         // that is tearing down. Dropping the pooled client connections
         // unblocks their server-side threads immediately.
-        if let Transport::Sockets {
-            rpc, rpc_clients, ..
-        } = &mut transport
-        {
-            rpc_clients.get_mut().expect("rpc client pool").clear();
-            if let Some(rpc) = rpc.take() {
-                rpc.shutdown();
-            }
+        rpc_clients.get_mut().expect("rpc client pool").clear();
+        if let Some(rpc) = rpc {
+            rpc.shutdown();
         }
         for tx in &evt_senders {
             let _ = tx.send(NodeEvent::Shutdown);
@@ -340,28 +216,14 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
         for h in node_handles {
             let _ = h.join();
         }
-        match transport {
-            Transport::Channels { delay, .. } => {
-                if let Some(delay) = delay {
-                    delay.stop();
-                }
-            }
-            Transport::Sockets {
-                reactor,
-                streams,
-                delay,
-                ..
-            } => {
-                if let Some(delay) = delay {
-                    delay.stop();
-                }
-                for stream in &streams {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                if let Some(reactor) = reactor {
-                    reactor.stop_and_join();
-                }
-            }
+        if let Some(delay) = delay {
+            delay.stop();
+        }
+        for stream in &streams {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        if let Some(reactor) = reactor {
+            reactor.stop_and_join();
         }
         DeliveryLog::into_deliveries(log)
     }
@@ -371,7 +233,7 @@ impl<M: Send + Sync + 'static> RealtimeCluster<M> {
 mod tests {
     use super::*;
     use crate::TcpEngine;
-    use fireledger_types::{Outbox, TimerId};
+    use fireledger_types::{Outbox, Protocol, TimerId};
     use std::sync::atomic::AtomicBool;
 
     /// A protocol whose drop takes a while (like a store joining its
@@ -400,32 +262,26 @@ mod tests {
 
     #[test]
     fn kill_returns_after_the_state_machine_is_dropped_on_both_transports() {
-        for sockets in [false, true] {
-            let dropped: Vec<Arc<AtomicBool>> = (0..3).map(|_| Arc::default()).collect();
-            let nodes: Vec<SlowDrop> = (0..3)
-                .map(|i| SlowDrop {
-                    me: NodeId(i as u32),
-                    dropped: dropped[i].clone(),
-                })
-                .collect();
-            let cluster = if sockets {
-                RealtimeCluster::spawn_engine(nodes, None, None, None, &[], TcpEngine)
-                    .expect("mesh setup")
-            } else {
-                RealtimeCluster::spawn_channels(nodes, None, None, &[])
-            };
-            cluster.kill(NodeId(1));
-            assert!(
-                dropped[1].load(Ordering::SeqCst),
-                "sockets={sockets}: kill returned before the node's state was dropped"
-            );
-            assert_eq!(cluster.node_status(NodeId(1)), NodeStatus::Down);
-            // A crashed node's thread has exited (or is exiting): kill must
-            // not wait for an acknowledgement that will never come.
-            cluster.crash(NodeId(2));
-            cluster.kill(NodeId(2));
-            assert!(!dropped[0].load(Ordering::SeqCst));
-            cluster.shutdown();
-        }
+        let dropped: Vec<Arc<AtomicBool>> = (0..3).map(|_| Arc::default()).collect();
+        let nodes: Vec<SlowDrop> = (0..3)
+            .map(|i| SlowDrop {
+                me: NodeId(i as u32),
+                dropped: dropped[i].clone(),
+            })
+            .collect();
+        let cluster = RealtimeCluster::spawn_engine(nodes, None, None, None, &[], TcpEngine)
+            .expect("mesh setup");
+        cluster.kill(NodeId(1));
+        assert!(
+            dropped[1].load(Ordering::SeqCst),
+            "kill returned before the node's state was dropped"
+        );
+        assert_eq!(cluster.node_status(NodeId(1)), NodeStatus::Down);
+        // A crashed node's thread has exited (or is exiting): kill must
+        // not wait for an acknowledgement that will never come.
+        cluster.crash(NodeId(2));
+        cluster.kill(NodeId(2));
+        assert!(!dropped[0].load(Ordering::SeqCst));
+        cluster.shutdown();
     }
 }

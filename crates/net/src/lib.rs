@@ -5,25 +5,19 @@
 //! RPC.
 //!
 //! [`RealtimeCluster`] runs one OS thread per node with wall-clock timers
-//! and has one constructor per transport:
+//! over a static full mesh of real `std::net::TcpStream`s on localhost
+//! ([`RealtimeCluster::spawn_engine`]), multiplexed by a fixed pool of
+//! [`DEFAULT_REACTOR_THREADS`] nonblocking reactor threads (O(n) threads in
+//! total, which is what makes n = 32–64 clusters practical on one host).
+//! Every message is encoded through the workspace's binary wire format
+//! (`docs/WIRE_FORMAT.md`) with length-prefixed framing ([`frame`]).
 //!
-//! * [`RealtimeCluster::spawn_channels`] — std `mpsc` channels for links
-//!   (reliable, FIFO — the paper's link model); messages are moved
-//!   in-process, never serialized.
-//! * [`RealtimeCluster::spawn_engine`] — a static full mesh of real
-//!   `std::net::TcpStream`s over localhost, multiplexed by a fixed pool of
-//!   [`DEFAULT_REACTOR_THREADS`] nonblocking reactor threads (O(n) threads
-//!   in total, which is what makes n = 32–64 clusters practical on one
-//!   host). Every message is encoded through the workspace's binary wire
-//!   format (`docs/WIRE_FORMAT.md`) with length-prefixed framing
-//!   ([`frame`]).
-//!
-//! Both exist to demonstrate that the protocol implementations are genuinely
+//! It exists to show that the protocol implementations are genuinely
 //! sans-IO — the exact same `FloNode` / `Worker` / baseline code runs under
-//! the deterministic simulator, in-process channels, and real sockets,
-//! without a line of protocol code changing. The lifecycle a driver uses
-//! (submit, crash, pause/resume, kill/restart, deliveries, shutdown) is
-//! written once and is the same on both transports.
+//! the deterministic simulator and on real sockets, without a line of
+//! protocol code changing. The lifecycle a driver uses (submit, crash,
+//! pause/resume, kill/restart, deliveries, shutdown) is written once in
+//! [`RealtimeCluster`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,7 +29,6 @@ mod reactor;
 pub mod rpc;
 mod shim;
 mod tcp;
-mod threads;
 
 pub use cluster::{RealtimeCluster, TcpCluster};
 pub use reactor::{TcpEngine, DEFAULT_REACTOR_THREADS};

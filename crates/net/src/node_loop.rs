@@ -1,11 +1,10 @@
-//! The per-node event loop shared by both transports.
+//! The per-node event loop.
 //!
-//! Every [`crate::RealtimeCluster`] node thread — on in-process channels or
-//! on the socket mesh — runs the exact same loop: pull the next
-//! [`NodeEvent`] from the node's inbox, hand it to the sans-IO protocol
-//! state machine, and interpret the resulting [`Action`]s. The only thing
-//! that differs between the transports is how outbound messages leave the
-//! node — the [`Egress`] implementation.
+//! Every [`crate::RealtimeCluster`] node thread runs the same loop: pull the
+//! next [`NodeEvent`] from the node's inbox, hand it to the sans-IO protocol
+//! state machine, and interpret the resulting [`Action`]s. How outbound
+//! messages leave the node — plain or through the fault-plan shim — is the
+//! [`Egress`] implementation.
 
 use fireledger_types::{Action, Delivery, NodeId, Outbox, Protocol, TimerId, Transaction};
 use std::collections::HashMap;
@@ -22,16 +21,6 @@ pub(crate) enum NodeEvent<M> {
         from: NodeId,
         /// The message.
         msg: M,
-    },
-    /// A broadcast message whose value is shared across every recipient's
-    /// queue: the sender allocates (or encodes) once and enqueues `n − 1`
-    /// reference bumps. Receivers materialize their own copy on dequeue —
-    /// and the last receiver takes the value without cloning at all.
-    SharedMessage {
-        /// The sending node.
-        from: NodeId,
-        /// The shared message.
-        msg: Arc<M>,
     },
     /// Protocol messages handled one by one, in order, exactly as if each
     /// had been its own [`NodeEvent::Message`] — what a socket reactor
@@ -204,7 +193,6 @@ pub(crate) fn run_node<P, E>(
     rebuild: Option<Rebuild<P>>,
 ) where
     P: Protocol,
-    P::Msg: Clone,
     E: Egress<P::Msg>,
 {
     let i = me.as_usize();
@@ -317,14 +305,6 @@ pub(crate) fn run_node<P, E>(
                 let node = alive.as_mut().expect("checked above");
                 match event {
                     NodeEvent::Message { from, msg } => {
-                        node.on_message(from, msg, &mut out);
-                        apply(me, &mut out, egress, &mut timers, &log);
-                    }
-                    NodeEvent::SharedMessage { from, msg } => {
-                        // The last receiver of a broadcast takes the value
-                        // without cloning; earlier receivers clone out of
-                        // the shared allocation.
-                        let msg = Arc::try_unwrap(msg).unwrap_or_else(|arc| (*arc).clone());
                         node.on_message(from, msg, &mut out);
                         apply(me, &mut out, egress, &mut timers, &log);
                     }

@@ -478,7 +478,7 @@ impl<M: WireCodec> NodeGroup<M> {
 
 /// Deals `conns` out to `k` reactor threads by local node: every connection
 /// of node `i` goes to thread `i % k`, in one [`NodeGroup`] fed by
-/// `evt_senders[i]`. Threads no node maps to get an empty list.
+/// `evt_senders[i]`. A pool thread no node maps to gets an empty list.
 fn partition<M: WireCodec>(
     conns: Vec<Conn>,
     evt_senders: &[Sender<NodeEvent<M>>],
@@ -562,7 +562,7 @@ impl Reactor {
         Reactor { handles, stop }
     }
 
-    /// Threads in the pool.
+    /// Size of the pool.
     pub(crate) fn thread_count(&self) -> usize {
         self.handles.len()
     }

@@ -3,11 +3,9 @@
 //! Each node of a socket-mesh [`crate::RealtimeCluster`] can serve a client
 //! listener: real `TcpStream`s carrying [`RpcMsg`] frames — the same 9-byte
 //! frame header and strict validation as the inter-node mesh, but a
-//! *request/reply* discipline instead of a full-duplex protocol stream. On
-//! channels the cluster serves the identical verbs through an in-process
-//! call path ([`crate::RealtimeCluster::rpc_call`]), so the runtime matrix
-//! covers ingress on channels and on sockets with one handler
-//! implementation.
+//! *request/reply* discipline instead of a full-duplex protocol stream.
+//! [`crate::RealtimeCluster::rpc_call`] is the in-process client a driver
+//! uses to reach it.
 //!
 //! The transport is deliberately policy-free: every decoded message goes to
 //! an [`RpcHandler`] (implemented by the runtime layer over the admission
@@ -264,21 +262,6 @@ impl RpcClient {
             )),
         }
     }
-
-    /// Writes raw bytes on the connection — test hook for malformed-frame
-    /// behaviour — then reads one reply frame like [`RpcClient::call`].
-    pub fn call_raw(&mut self, bytes: &[u8]) -> io::Result<RpcMsg> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()?;
-        match read_frame_into(&mut self.stream, &mut self.payload)? {
-            Some(len) => RpcMsg::decode(&self.payload[..len])
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -287,6 +270,23 @@ mod tests {
     use fireledger_types::codec::{FrameHeader, FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
     use fireledger_types::rpc::{Lane, SubmitStatus};
     use std::sync::Mutex;
+
+    impl RpcClient {
+        /// Writes raw bytes on the connection — for malformed-frame
+        /// behaviour — then reads one reply frame like [`RpcClient::call`].
+        fn call_raw(&mut self, bytes: &[u8]) -> io::Result<RpcMsg> {
+            self.stream.write_all(bytes)?;
+            self.stream.flush()?;
+            match read_frame_into(&mut self.stream, &mut self.payload)? {
+                Some(len) => RpcMsg::decode(&self.payload[..len])
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
+                None => Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                )),
+            }
+        }
+    }
 
     /// Accepts everything; ticket = seq. Lets the transport be tested
     /// without the admission layer.

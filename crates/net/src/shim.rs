@@ -1,21 +1,16 @@
-//! The real-time fault-injection shim shared by the channel and socket
-//! transports.
+//! The real-time fault-injection shim of the socket transport.
 //!
 //! A [`LinkShim`] is the real-time counterpart of the simulator's
 //! `PlanAdversary`: it wraps a runtime's egress path and consults the shared
 //! [`LinkFaultEngine`] for every outbound message, so the *same*
 //! [`FaultPlan`](fireledger_types::FaultPlan) value produces the same
-//! drop/delay/reorder/duplicate semantics on real channels and sockets as it
-//! does on modelled links.
+//! drop/delay/reorder/duplicate semantics on real sockets as it does on
+//! modelled links.
 //!
-//! Where it sits (see `docs/ARCHITECTURE.md`, "Fault injection"):
-//!
-//! * **threads runtime** — between the protocol's `Outbox` drain and the
-//!   peers' `mpsc` event queues (messages are intercepted as Rust values);
-//! * **TCP runtime** — between the wire codec and the per-connection
-//!   reactor outboxes (messages are intercepted as fully framed byte
-//!   buffers, so a delayed or duplicated frame exercises the real socket
-//!   path end to end).
+//! It sits between the wire codec and the per-connection reactor outboxes
+//! (see `docs/ARCHITECTURE.md`, "Fault injection"): messages are
+//! intercepted as fully framed byte buffers, so a delayed or duplicated
+//! frame exercises the real socket path end to end.
 //!
 //! Delayed and reordered messages are parked on a [`DelayLine`] — one extra
 //! thread per faulty cluster that owns a deadline heap and re-injects each

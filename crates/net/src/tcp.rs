@@ -37,9 +37,8 @@
 //! before attaching the connection to the mesh. Frames that fail validation
 //! tear the connection down.
 
-use crate::cluster::{Transport, Wiring};
 use crate::frame::{read_frame, write_frame};
-use crate::node_loop::{Egress, NodeEvent, Rebuild};
+use crate::node_loop::{run_node, DeliveryLog, Egress, NodeEvent, NodeFlags, Rebuild};
 use crate::reactor::{Conn, Reactor, TcpEngine, DEFAULT_REACTOR_THREADS};
 use crate::shim::{DelayLine, LinkShim};
 use crate::RealtimeCluster;
@@ -47,8 +46,10 @@ use fireledger_types::codec::{FrameHeader, FRAME_HEADER_LEN};
 use fireledger_types::{FaultPlan, LinkDecision, NodeId, Protocol, WireCodec};
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Upper bound on frames drained per outbox refill: bounds the batch vector
@@ -76,8 +77,8 @@ fn frame_of<M: WireCodec>(msg: &M) -> Arc<Vec<u8>> {
 
 /// Routes a node's outbound messages to its per-peer outboxes,
 /// encoding each message exactly once. A send addressed to the node itself
-/// loops back through its own event queue — the same semantics the mpsc
-/// runtime and the simulator give self-sends, with no socket involved.
+/// loops back through its own event queue — the same semantics the
+/// simulator gives self-sends, with no socket involved.
 struct TcpEgress<M> {
     me: NodeId,
     writers: Vec<Option<Sender<Arc<Vec<u8>>>>>,
@@ -131,9 +132,9 @@ impl<M: WireCodec> ShimmedTcpEgress<M> {
                 let _ = w.send(frame);
             }
             LinkDecision::Drop => {}
-            // A parked frame bypasses the outbox's FIFO order, so
-            // delay and reorder coincide on real sockets (see the threaded
-            // shim for the same note).
+            // A parked frame bypasses the outbox's FIFO order, so delay and
+            // reorder coincide on real sockets (the simulator distinguishes
+            // them because its links are otherwise perfectly FIFO).
             LinkDecision::Delay(d) | LinkDecision::Reorder(d) => {
                 let _ = self.delay.send((Instant::now() + d, slot, frame));
             }
@@ -173,12 +174,23 @@ where
 {
     /// Binds one listener per node, dials the full mesh, performs the hello
     /// handshake on every connection, hands every stream to the reactor, and
-    /// starts the node threads. The parameters mean what they mean for
-    /// [`RealtimeCluster::spawn_channels`], except that the fault plan is a
-    /// frame-level interceptor between the codec and the reactor outboxes,
-    /// its offsets measured from the moment the mesh is fully dialed; a
-    /// restart re-enters the node on its original sockets (the mesh is
-    /// static — what a "kill -9" destroys is the protocol's process state).
+    /// starts one thread per node running the protocol.
+    ///
+    /// * `faults` — an optional [`FaultPlan`] compiled into a frame-level
+    ///   interceptor between the codec and the reactor outboxes
+    ///   (drop/delay/reorder/duplicate and partitions; node faults are
+    ///   driven by the caller through [`RealtimeCluster::pause`] /
+    ///   [`RealtimeCluster::resume`] / [`RealtimeCluster::crash`]). Its time
+    ///   offsets are measured from the moment the mesh is fully dialed.
+    /// * `rebuild` — after [`RealtimeCluster::kill`],
+    ///   [`RealtimeCluster::restart`] invokes it to reconstruct the node,
+    ///   typically from its durable store, on the same thread and its
+    ///   original sockets (the mesh is static — what a "kill -9" destroys is
+    ///   the protocol's process state).
+    /// * `dormant` — nodes spawned with their state machine dropped before
+    ///   it ever starts (late join): a later restart rebuilds them mid-run
+    ///   and they catch up through state sync.
+    ///
     /// `_pre_verify` and `engine` are vestigial: the first can only be
     /// `None`, the second is a unit struct (see [`TcpEngine`]).
     pub fn spawn_engine<P>(
@@ -194,7 +206,14 @@ where
     {
         let n = nodes.len();
         let mesh = dial_mesh(n)?;
-        let wiring = Wiring::new(n, dormant);
+        let (evt_senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let log = Arc::new(DeliveryLog::new(n));
+        let flags = NodeFlags::new(n);
+        // A dormant node has its kill flag pre-set, so its thread drops the
+        // state machine without ever starting it.
+        for node in dormant {
+            flags.killed[node.as_usize()].store(true, Ordering::SeqCst);
+        }
 
         // Every live stream goes to the reactor; its ingress is a
         // per-connection mpsc outbox whose sender goes into a flat
@@ -219,22 +238,15 @@ where
         let reactor = (!conns.is_empty()).then(|| {
             Reactor::spawn(
                 conns,
-                &wiring.evt_senders,
+                &evt_senders,
                 DEFAULT_REACTOR_THREADS,
                 MAX_BATCH_FRAMES,
             )
         });
 
         let writers_of = |i: usize| writers[i * n..(i + 1) * n].to_vec();
-        let loopback = |i: usize| wiring.evt_senders[i].clone();
-        let transport = |delay| Transport::Sockets {
-            reactor,
-            streams,
-            delay,
-            rpc: None,
-            rpc_clients: Mutex::new((0..n).map(|_| None).collect()),
-        };
-        match faults {
+        let loopback = |i: usize| evt_senders[i].clone();
+        let (node_handles, delay) = match faults {
             None => {
                 let egresses = (0..n)
                     .map(|i| TcpEgress {
@@ -243,11 +255,12 @@ where
                         loopback: loopback(i),
                     })
                     .collect();
-                Ok(wiring.launch(nodes, egresses, rebuild, transport(None)))
+                let handles = spawn_nodes(nodes, receivers, egresses, &log, &flags, rebuild);
+                (handles, None)
             }
             Some(plan) => {
                 let delay = DelayLine::new(writers.clone());
-                let start = wiring.log.start();
+                let start = log.start();
                 let egresses = (0..n)
                     .map(|i| ShimmedTcpEgress {
                         me: NodeId(i as u32),
@@ -258,10 +271,51 @@ where
                         delay: delay.sender(),
                     })
                     .collect();
-                Ok(wiring.launch(nodes, egresses, rebuild, transport(Some(delay))))
+                let handles = spawn_nodes(nodes, receivers, egresses, &log, &flags, rebuild);
+                (handles, Some(delay))
             }
-        }
+        };
+        Ok(RealtimeCluster {
+            evt_senders,
+            log,
+            flags,
+            node_handles,
+            reactor,
+            streams,
+            delay,
+            rpc: None,
+            rpc_clients: Mutex::new((0..n).map(|_| None).collect()),
+        })
     }
+}
+
+/// Starts one thread per node — `nodes[i]` reading `receivers[i]` and
+/// sending through `egresses[i]`.
+fn spawn_nodes<P, E>(
+    nodes: Vec<P>,
+    receivers: Vec<Receiver<NodeEvent<P::Msg>>>,
+    egresses: Vec<E>,
+    log: &Arc<DeliveryLog>,
+    flags: &NodeFlags,
+    rebuild: Option<Rebuild<P>>,
+) -> Vec<JoinHandle<()>>
+where
+    P: Protocol + Send + 'static,
+    P::Msg: Send,
+    E: Egress<P::Msg> + Send + 'static,
+{
+    nodes
+        .into_iter()
+        .zip(receivers)
+        .zip(egresses)
+        .enumerate()
+        .map(|(i, ((node, rx), mut egress))| {
+            let (log, flags, rebuild) = (log.clone(), flags.clone(), rebuild.clone());
+            std::thread::spawn(move || {
+                run_node(node, NodeId(i as u32), rx, &mut egress, log, flags, rebuild);
+            })
+        })
+        .collect()
 }
 
 /// Binds one listener per node and dials the static full mesh: node `i`
@@ -341,8 +395,7 @@ mod tests {
     }
 
     /// Node 0 broadcasts on start and on a timer; everyone delivers what it
-    /// receives — the same smoke protocol the threaded runtime uses, but now
-    /// every `u64` crosses a real socket.
+    /// receives — every `u64` crosses a real socket.
     struct Echo {
         me: NodeId,
     }
@@ -539,6 +592,138 @@ mod tests {
             at(2).contains(&10) && at(2).contains(&11),
             "live bystander missed traffic: {:?}",
             at(2)
+        );
+    }
+
+    #[test]
+    fn drop_from_one_node_only_silences_that_sender() {
+        use fireledger_types::{FaultWindow, LinkSelector};
+        // Node 0 broadcasts; a From(0) drop plan must starve everyone, while
+        // a From(1) plan must not.
+        for (lossy, expect_delivery) in [(NodeId(0), false), (NodeId(1), true)] {
+            let nodes: Vec<Echo> = (0..4).map(|i| Echo { me: NodeId(i) }).collect();
+            let plan = FaultPlan::named("one-lossy").drop(
+                LinkSelector::From(lossy),
+                FaultWindow::ALWAYS,
+                1.0,
+            );
+            let cluster = spawn(nodes, Some(plan));
+            std::thread::sleep(Duration::from_millis(80));
+            let deliveries = cluster.shutdown();
+            let got_any = deliveries.iter().any(|d| !d.is_empty());
+            assert_eq!(
+                got_any, expect_delivery,
+                "lossy sender {lossy}: unexpected delivery outcome"
+            );
+        }
+    }
+
+    #[test]
+    fn self_sends_are_exempt_from_the_plan() {
+        use fireledger_types::{FaultWindow, LinkSelector};
+        // A node sending to itself never touches the network, so even a
+        // drop-everything plan must not intercept it (the simulator gives
+        // self-sends the same exemption).
+        struct SelfLoop {
+            me: NodeId,
+        }
+        impl Protocol for SelfLoop {
+            type Msg = u64;
+            fn node_id(&self) -> NodeId {
+                self.me
+            }
+            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
+            fn on_message(&mut self, from: NodeId, msg: u64, out: &mut Outbox<u64>) {
+                if from == self.me {
+                    out.deliver(delivery(msg, from));
+                }
+            }
+            fn on_timer(&mut self, _t: TimerId, _o: &mut Outbox<u64>) {}
+            fn on_transaction(&mut self, tx: Transaction, out: &mut Outbox<u64>) {
+                out.send(self.me, tx.seq);
+            }
+        }
+        let nodes: Vec<SelfLoop> = (0..2).map(|i| SelfLoop { me: NodeId(i) }).collect();
+        let plan = FaultPlan::named("blackout").drop(LinkSelector::All, FaultWindow::ALWAYS, 1.0);
+        let cluster = spawn(nodes, Some(plan));
+        cluster.submit(NodeId(0), Transaction::zeroed(1, 9, 4));
+        std::thread::sleep(Duration::from_millis(60));
+        let deliveries = cluster.shutdown();
+        assert_eq!(
+            deliveries[0].iter().map(|d| d.round.0).collect::<Vec<_>>(),
+            vec![9],
+            "the self-send must survive a 100% drop plan"
+        );
+    }
+
+    #[test]
+    fn duplicate_plan_delivers_extra_copies() {
+        use fireledger_types::{FaultWindow, LinkSelector};
+        let nodes: Vec<Echo> = (0..2).map(|i| Echo { me: NodeId(i) }).collect();
+        let plan = FaultPlan::named("dup").duplicate(
+            LinkSelector::All,
+            FaultWindow::ALWAYS,
+            1.0,
+            Duration::from_millis(5),
+            Duration::from_millis(10),
+        );
+        let cluster = spawn(nodes, Some(plan));
+        std::thread::sleep(Duration::from_millis(100));
+        let deliveries = cluster.shutdown();
+        let round7 = deliveries[1].iter().filter(|d| d.round.0 == 7).count();
+        assert!(
+            round7 >= 2,
+            "expected the duplicated broadcast at least twice, got {round7}"
+        );
+    }
+
+    #[test]
+    fn paused_node_misses_traffic_and_resumes_with_state_intact() {
+        // Delivers the running sum of the transactions it handled: the
+        // post-resume delivery reads 1 + 3 only if the pre-pause state
+        // survived and the downtime transaction was lost.
+        struct RunningSum {
+            me: NodeId,
+            sum: u64,
+        }
+        impl Protocol for RunningSum {
+            type Msg = u64;
+            fn node_id(&self) -> NodeId {
+                self.me
+            }
+            fn on_start(&mut self, _o: &mut Outbox<u64>) {}
+            fn on_message(&mut self, _f: NodeId, _m: u64, _o: &mut Outbox<u64>) {}
+            fn on_timer(&mut self, _t: TimerId, _o: &mut Outbox<u64>) {}
+            fn on_transaction(&mut self, tx: Transaction, out: &mut Outbox<u64>) {
+                self.sum += tx.seq;
+                out.deliver(delivery(self.sum, self.me));
+            }
+        }
+        let nodes: Vec<RunningSum> = (0..2)
+            .map(|i| RunningSum {
+                me: NodeId(i),
+                sum: 0,
+            })
+            .collect();
+        let cluster = spawn(nodes, None);
+        cluster.submit(NodeId(0), Transaction::zeroed(1, 1, 4));
+        std::thread::sleep(Duration::from_millis(40));
+        cluster.pause(NodeId(0));
+        std::thread::sleep(Duration::from_millis(30));
+        // Lost while down.
+        cluster.submit(NodeId(0), Transaction::zeroed(1, 2, 4));
+        std::thread::sleep(Duration::from_millis(30));
+        cluster.resume(NodeId(0));
+        std::thread::sleep(Duration::from_millis(30));
+        // Processed after recovery, on top of the pre-pause state.
+        cluster.submit(NodeId(0), Transaction::zeroed(1, 3, 4));
+        std::thread::sleep(Duration::from_millis(40));
+        let deliveries = cluster.shutdown();
+        let sums: Vec<u64> = deliveries[0].iter().map(|d| d.round.0).collect();
+        assert_eq!(
+            sums,
+            vec![1, 4],
+            "pre-pause state must survive the pause, downtime traffic must be lost"
         );
     }
 

@@ -20,7 +20,7 @@ use fireledger_types::{
 };
 use std::fmt;
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -358,9 +358,9 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
     /// gets an independent executor fed at the commit point, the node's own
     /// headers carry the lagged execution state root (WIRE_FORMAT.md §12),
     /// and delivered headers' claimed roots are cross-checked against local
-    /// execution. Works identically on all three runtimes — execution runs
+    /// execution. Works identically on both runtimes — execution runs
     /// inline at the deterministic delivery points under the simulator and
-    /// on dedicated stage threads under the real-time runtimes. Protocols
+    /// on dedicated stage threads under the real-time runtime. Protocols
     /// without an execution hook (the baselines) accept the configuration
     /// and simply keep ordering opaque payloads.
     ///
@@ -588,13 +588,6 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
         self.crypto
             .clone()
             .unwrap_or_else(|| SimKeyStore::generate(self.params.n(), self.seed).shared())
-    }
-
-    /// The store configuration, if [`ClusterBuilder::with_store`] set one.
-    pub fn store_config(&self) -> Option<(&Path, FsyncPolicy)> {
-        self.store
-            .as_ref()
-            .map(|(dir, policy)| (dir.as_path(), *policy))
     }
 
     /// The directory node `node` persists into (`dir/node-<i>`), when a

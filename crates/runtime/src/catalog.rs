@@ -6,7 +6,7 @@
 //! snippet. All of them return a plain [`FaultPlan`]; attach one to a
 //! [`Scenario`](crate::Scenario) with
 //! [`Scenario::with_faults`](crate::Scenario::with_faults) and it drives
-//! the simulator, the threaded runtime and the TCP runtime identically.
+//! the simulator and the TCP runtime identically.
 //!
 //! Byzantine behaviours (equivocating / silent proposers) are *roles*, not
 //! plans — they change what a node says, not what the network does — and

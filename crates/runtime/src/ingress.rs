@@ -7,9 +7,9 @@
 //!   client count, think time, payload size, retry budget and the
 //!   [`AdmissionConfig`] every node's gate runs.
 //! * [`ClusterIngress`] — one [`IngressGate`] per node behind a single
-//!   [`RpcHandler`], so the TCP runtime's socket listeners, the threaded
-//!   runtime's channel port and the simulator's sliced driver all dispatch
-//!   into identical admission state.
+//!   [`RpcHandler`], so the TCP runtime's socket listeners and the
+//!   simulator's sliced driver both dispatch into identical admission
+//!   state.
 //! * [`ClientFleet`] — a deterministic, sans-IO fleet of open-loop clients:
 //!   every client submits on a seeded lane mix, backs off with jittered
 //!   exponential delays on retryable refusals ([`SubmitStatus::Busy`] /

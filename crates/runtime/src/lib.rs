@@ -5,7 +5,7 @@
 //!
 //! The paper's whole evaluation is a single experiment matrix —
 //! {FireLedger/FLO, PBFT, WRB/OBBC, HotStuff, BFT-SMaRt} × {single-DC, geo,
-//! crash, Byzantine} × {simulation, real threads, real sockets}. This crate
+//! crash, Byzantine} × {simulation, real sockets}. This crate
 //! makes each axis one value:
 //!
 //! * [`ClusterBuilder`] assembles a cluster of any [`ClusterProtocol`] from
@@ -14,12 +14,11 @@
 //! * [`Scenario`] describes the topology (single-DC, geo, custom latency
 //!   matrix), the workload (saturated, open-loop rate, closed-loop clients)
 //!   and the fault schedule with absolute trigger times;
-//! * a [`Runtime`] — [`Simulator`] (deterministic discrete events),
-//!   [`Threads`] (one OS thread per node, wall-clock time, in-process
-//!   channels) or [`Tcp`] (wall-clock time over a real localhost
-//!   `TcpStream` mesh speaking the binary wire format of
+//! * a [`Runtime`] — [`Simulator`] (deterministic discrete events) or
+//!   [`Tcp`] (one OS thread per node, wall-clock time, over a real
+//!   localhost `TcpStream` mesh speaking the binary wire format of
 //!   `docs/WIRE_FORMAT.md`) — consumes both and returns a [`RunReport`]
-//!   with an identical schema every way.
+//!   with an identical schema either way.
 //!
 //! ## Example: the same scenario across protocols and runtimes
 //!
@@ -57,7 +56,7 @@ pub use builder::{BuildContext, ClusterBuilder, ClusterProtocol, FloCluster, Nod
 pub use fireledger_net::DEFAULT_REACTOR_THREADS;
 pub use ingress::{ClientFleet, ClusterIngress, IngressLoad, PayloadKind};
 pub use report::{ExecutionReport, IngressLaneReport, IngressReport, NodeDeliveries, RunReport};
-pub use run::{check_delivery_prefixes, Runtime, Simulator, Tcp, Threads};
+pub use run::{check_delivery_prefixes, Runtime, Simulator, Tcp};
 pub use scenario::{FaultEvent, Scenario, Topology, Workload};
 
 /// Everything a typical experiment needs, re-exported for
@@ -66,7 +65,7 @@ pub mod prelude {
     pub use crate::{
         check_delivery_prefixes, ClusterBuilder, ClusterProtocol, ExecutionReport, FaultEvent,
         FloCluster, IngressLaneReport, IngressLoad, IngressReport, NodeDeliveries, NodeRole,
-        PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, Threads, Topology, Workload,
+        PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, Topology, Workload,
         DEFAULT_REACTOR_THREADS,
     };
     pub use fireledger::{AcceptAll, ClusterNode, FloNode, Worker};
@@ -326,20 +325,5 @@ mod tests {
         assert_eq!(tcp.runtime, "tcp");
         assert!(tcp.tps > 0.0, "tcp cluster delivered nothing");
         assert!(tcp.per_node.iter().all(|d| d.blocks > 0));
-    }
-
-    #[test]
-    fn threaded_runtime_matches_schema_and_delivers() {
-        let s = Scenario::new("threads").run_for(Duration::from_millis(400));
-        let sim = Simulator
-            .run(&ClusterBuilder::<FloCluster>::new(params(4)), &quick())
-            .unwrap();
-        let threaded = Threads
-            .run(&ClusterBuilder::<FloCluster>::new(params(4)), &s)
-            .unwrap();
-        assert_eq!(sim.schema(), threaded.schema());
-        assert_eq!(threaded.runtime, "threads");
-        assert!(threaded.tps > 0.0, "threaded cluster delivered nothing");
-        assert!(threaded.per_node.iter().all(|d| d.blocks > 0));
     }
 }

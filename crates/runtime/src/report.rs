@@ -3,7 +3,7 @@
 //! [`RunReport`] replaces the divergent metrics extraction that used to live
 //! separately in `fireledger_sim::metrics` and the benchmark harness: all
 //! runtimes hand back the same schema, so experiment code can compare a
-//! simulated run against a threaded or TCP run field by field. Fields a
+//! simulated run against a TCP run field by field. Fields a
 //! runtime cannot measure are zero/empty rather than absent — the schema
 //! never changes shape.
 //!
@@ -12,7 +12,7 @@
 //! Every field documents its unit on the field itself. One subtlety is
 //! worth stating once, centrally: **time-valued fields mean simulated
 //! (virtual) time on the `"sim"` runtime and wall-clock time on the
-//! `"threads"` and `"tcp"` runtimes.** A `duration_secs` of `1.8` from the
+//! `"tcp"` runtime.** A `duration_secs` of `1.8` from the
 //! simulator is 1.8 simulated seconds (computed instantly); from a
 //! real-time runtime it is 1.8 elapsed real seconds. Rates (`tps`, `bps`,
 //! `recoveries_per_sec`) are per second of that same time base.
@@ -68,7 +68,7 @@ impl NodeDeliveries {
 /// closed — the accepted-then-lost count the ingress soak exists to pin at
 /// zero. Latency percentiles are submit→commit, over this lane's committed
 /// transactions (same time base as the rest of the report: simulated
-/// seconds on `"sim"`, wall-clock on `"threads"`/`"tcp"`).
+/// seconds on `"sim"`, wall-clock on `"tcp"`).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IngressLaneReport {
     /// Submissions acked `Accepted`. Unit: transactions (count).
@@ -286,7 +286,7 @@ pub struct RunReport {
     pub protocol: String,
     /// Scenario name. Unit: none.
     pub scenario: String,
-    /// Runtime name: `"sim"`, `"threads"` or `"tcp"`. Determines the time
+    /// Runtime name: `"sim"` or `"tcp"`. Determines the time
     /// base of every time-valued field (see the module docs).
     pub runtime: String,
     /// Name of the scenario's fault plan (`"none"` for a fault-free run).
@@ -313,8 +313,7 @@ pub struct RunReport {
     /// Unit: threads (count).
     pub threads: usize,
     /// Length of the measurement window (run duration minus warm-up).
-    /// Unit: seconds — simulated on `"sim"`, wall-clock on `"threads"` /
-    /// `"tcp"`.
+    /// Unit: seconds — simulated on `"sim"`, wall-clock on `"tcp"`.
     pub duration_secs: f64,
     /// Delivered transactions per second within the measurement window,
     /// averaged across the measured (correct, uncrashed) nodes. Unit:
@@ -324,7 +323,7 @@ pub struct RunReport {
     /// across the measured nodes. Unit: blocks / second.
     pub bps: f64,
     /// Mean delivery latency. Unit: seconds. On `"sim"` this is simulated
-    /// proposal→delivery time per block; on `"threads"`/`"tcp"` it is
+    /// proposal→delivery time per block; on `"tcp"` it is
     /// wall-clock submit→commit time over the scenario's injected
     /// transactions (zero under a purely saturated workload, which injects
     /// nothing to stamp).

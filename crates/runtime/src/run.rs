@@ -1,4 +1,4 @@
-//! The runtimes: one trait, three drivers.
+//! The runtimes: one trait, two drivers.
 //!
 //! [`Runtime::run`] takes a [`ClusterBuilder`] and a [`Scenario`] and returns
 //! a [`RunReport`]; [`Runtime::run_full`] additionally returns every node's
@@ -7,16 +7,14 @@
 //!
 //! * [`Simulator`] executes the scenario on the deterministic discrete-event
 //!   simulator;
-//! * [`Threads`] runs one OS thread per node with wall-clock time, messages
-//!   moved over in-process channels;
 //! * [`Tcp`] runs one thread per node with wall-clock time and a real
 //!   `TcpStream` mesh over localhost — every message is serialized through
 //!   the binary wire format (`docs/WIRE_FORMAT.md`) and framed onto a
 //!   socket.
 //!
-//! The same two values drive all three — which is the point: a scenario
-//! debugged deterministically in the simulator can be re-run unchanged on
-//! real threads or real sockets.
+//! The same two values drive both — which is the point: a scenario debugged
+//! deterministically in the simulator can be re-run unchanged on real
+//! sockets.
 
 use crate::builder::{ClusterBuilder, ClusterProtocol};
 use crate::ingress::{
@@ -53,8 +51,7 @@ const INGRESS_QUIESCE_GRACE: Duration = Duration::from_secs(10);
 
 /// Drives a cluster through a scenario.
 pub trait Runtime {
-    /// Short runtime name recorded in reports (`"sim"`, `"threads"`,
-    /// `"tcp"`).
+    /// Short runtime name recorded in reports (`"sim"`, `"tcp"`).
     fn name(&self) -> &'static str;
 
     /// Builds the cluster, runs the scenario to completion, and returns the
@@ -231,25 +228,17 @@ fn dormant_nodes<P: ClusterProtocol>(cluster: &ClusterBuilder<P>) -> Vec<NodeId>
         .collect()
 }
 
-/// Spawns `nodes` on a real-time transport — the socket mesh when
-/// `sockets`, in-process channels otherwise — with the builder's rebuild
-/// hook and dormant late joiner.
+/// Spawns `nodes` on the socket mesh with the builder's rebuild hook and
+/// dormant late joiner.
 fn spawn_realtime<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     nodes: Vec<P>,
     faults: Option<FaultPlan>,
-    sockets: bool,
 ) -> Result<RealtimeCluster<P::Msg>> {
     let rebuild = Some(realtime_rebuilder(cluster));
     let dormant = dormant_nodes(cluster);
-    if sockets {
-        RealtimeCluster::spawn_engine(nodes, faults, None, rebuild, &dormant, cluster.tcp_engine())
-            .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))
-    } else {
-        Ok(RealtimeCluster::spawn_channels(
-            nodes, faults, rebuild, &dormant,
-        ))
-    }
+    RealtimeCluster::spawn_engine(nodes, faults, None, rebuild, &dormant, cluster.tcp_engine())
+        .map_err(|e| Error::Io(format!("tcp mesh setup: {e}")))
 }
 
 /// Per-node counters plus the delivery-timeline (stall/recovery) metrics.
@@ -540,9 +529,8 @@ enum TimelineEvent {
 
 /// Drives an already-spawned real-time cluster through the scenario's
 /// timeline (crashes, crash-recover pauses and injections at wall-clock
-/// offsets), honours the warm-up window, and assembles the report. Shared
-/// by [`Threads`] and [`Tcp`] — the two differ only in the transport the
-/// cluster was spawned on. Link faults and partitions are *not* driven from
+/// offsets), honours the warm-up window, and assembles the report. Link
+/// faults and partitions are *not* driven from
 /// here: they were compiled into the cluster's link shim at spawn time; this
 /// timeline carries only the node-level events.
 fn drive_realtime<P: ClusterProtocol>(
@@ -832,14 +820,12 @@ fn realtime_ingress(scenario: &Scenario, n: usize) -> Option<std::sync::Arc<Clus
         .map(|load| std::sync::Arc::new(ClusterIngress::new(n, load.admission.clone())))
 }
 
-/// The body of [`Threads`] and [`Tcp`]: builds the cluster, spawns it on
-/// the socket mesh when `sockets` (channels otherwise), serves the
-/// scenario's ingress, and drives it to completion.
+/// The body of [`Tcp`]: builds the cluster, spawns it on the socket mesh,
+/// serves the scenario's ingress, and drives it to completion.
 fn run_realtime<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
     runtime_name: &str,
-    sockets: bool,
 ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
     validate_fault_budget(cluster, scenario)?;
     let nodes = cluster.build()?;
@@ -847,7 +833,7 @@ fn run_realtime<P: ClusterProtocol>(
     // delivered blocks are executed off the consensus loops. Held until the
     // run is over (drained and joined on drop).
     let _exec_stages = cluster.spawn_exec_stages();
-    let mut running = spawn_realtime(cluster, nodes, scenario.faults.clone(), sockets)?;
+    let mut running = spawn_realtime(cluster, nodes, scenario.faults.clone())?;
     let ingress = realtime_ingress(scenario, cluster.params().n());
     if let Some(ci) = &ingress {
         running
@@ -863,7 +849,8 @@ fn run_realtime<P: ClusterProtocol>(
     ))
 }
 
-/// The real-time threaded runtime (in-process channels).
+/// The real-time runtime: one OS thread per node on a real localhost
+/// socket mesh.
 ///
 /// The scenario's duration is wall-clock time here: a 2-second scenario takes
 /// 2 real seconds. The warm-up window is honoured the same way as on the
@@ -876,31 +863,12 @@ fn run_realtime<P: ClusterProtocol>(
 /// lifecycle breakdown are not instrumented on this runtime (protocols pay
 /// real CPU instead of reporting observations), so those report fields are
 /// zero — the schema is unchanged.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Threads;
-
-impl Runtime for Threads {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn run_full<P: ClusterProtocol>(
-        &self,
-        cluster: &ClusterBuilder<P>,
-        scenario: &Scenario,
-    ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
-        run_realtime(cluster, scenario, self.name(), false)
-    }
-}
-
-/// The real-time TCP runtime (real sockets over localhost).
 ///
-/// Timing semantics are identical to [`Threads`]; the difference is the
-/// transport: every message is encoded through its `WireCodec` layout,
-/// framed per `docs/WIRE_FORMAT.md`, written to a real `TcpStream`, and
-/// decoded on the receiving node — so a run on this runtime validates the
-/// entire wire format under protocol load, not just the protocol logic.
-/// Socket setup failures surface as [`Error::Io`].
+/// Every message is encoded through its `WireCodec` layout, framed per
+/// `docs/WIRE_FORMAT.md`, written to a real `TcpStream`, and decoded on the
+/// receiving node — so a run on this runtime validates the entire wire
+/// format under protocol load, not just the protocol logic. Socket setup
+/// failures surface as [`Error::Io`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tcp;
 
@@ -914,6 +882,6 @@ impl Runtime for Tcp {
         cluster: &ClusterBuilder<P>,
         scenario: &Scenario,
     ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
-        run_realtime(cluster, scenario, self.name(), true)
+        run_realtime(cluster, scenario, self.name())
     }
 }

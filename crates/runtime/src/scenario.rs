@@ -4,7 +4,7 @@
 //! which network it runs on, how clients load it, which nodes crash when, and
 //! for how long the experiment runs. The same value is consumed identically
 //! by every [`crate::Runtime`], so one scenario definition drives both the
-//! deterministic simulator and the threaded real-time cluster.
+//! deterministic simulator and the real-time socket cluster.
 
 use fireledger_crypto::CostModel;
 use fireledger_sim::{CrashSchedule, LatencyModel, SimConfig, SimTime, TxInjector};

@@ -5,10 +5,9 @@
 //! (drop / delay / reorder / duplicate), network partitions (split at an
 //! offset, heal at a later one), and node faults (crash, or crash followed
 //! by recovery). The same value is compiled into a per-runtime interceptor —
-//! the simulator's `PlanAdversary`, the threaded runtime's link shim, and
-//! the TCP runtime's frame interceptor — so one plan exercises all three
-//! runtimes identically (see `docs/SCENARIOS.md` for the catalog of
-//! supported plans).
+//! the simulator's `PlanAdversary` and the TCP runtime's frame interceptor —
+//! so one plan exercises both runtimes identically (see `docs/SCENARIOS.md`
+//! for the catalog of supported plans).
 //!
 //! ## Determinism
 //!

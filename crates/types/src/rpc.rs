@@ -3,8 +3,8 @@
 //!
 //! This is the only way *into* the ledger from outside the replica set. A
 //! client opens a connection to any node's client port (a real TCP socket
-//! under the TCP runtime, a channel-backed port under the threaded runtime
-//! and the simulator) and exchanges [`RpcMsg`] frames through the same
+//! under the TCP runtime, an in-process call under the simulator) and
+//! exchanges [`RpcMsg`] frames through the same
 //! 9-byte §3 frame header the inter-node links use:
 //!
 //! * [`RpcMsg::Submit`] / [`RpcMsg::SubmitAck`] — submit one transaction on

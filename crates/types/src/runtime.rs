@@ -10,8 +10,8 @@
 //! Two runtimes drive these state machines:
 //! * the discrete-event simulator in `fireledger-sim`, which also models link
 //!   latency, per-node bandwidth, and CPU cost, and
-//! * the threaded in-process runtime in `fireledger-net`, which uses real
-//!   channels, threads, and wall-clock timers.
+//! * the real-time socket runtime in `fireledger-net`, which uses real
+//!   sockets, threads, and wall-clock timers.
 //!
 //! Keeping protocols free of I/O makes them unit-testable deterministically
 //! and lets a single implementation back both the correctness tests and every
@@ -137,7 +137,7 @@ pub struct Delivery {
 ///
 /// Protocols report *what* cryptographic work they performed; the simulator
 /// translates it into time using a calibrated cost model (`fireledger-crypto`
-/// measures real signing / verification / hashing rates). The threaded runtime
+/// measures real signing / verification / hashing rates). The real-time runtime
 /// ignores these charges because it pays the real CPU cost directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CpuCharge {

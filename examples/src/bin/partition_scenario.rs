@@ -18,8 +18,8 @@ fn main() {
     let duration = Duration::from_millis(2000);
 
     // The declarative fault plan: {p0, p1} | {p2, p3} between 0.4s and 1.0s.
-    // The same value drives the simulator, the threaded runtime and the TCP
-    // runtime (see docs/SCENARIOS.md for the whole catalog).
+    // The same value drives the simulator and the TCP runtime (see
+    // docs/SCENARIOS.md for the whole catalog).
     let plan = catalog::partition_heal(4, split, heal);
 
     let params = ProtocolParams::new(4).with_batch_size(16).with_tx_size(128);

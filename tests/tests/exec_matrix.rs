@@ -18,11 +18,14 @@
 //!   `fireledger-store` — append, reopen as a kill-9 survivor would, decode,
 //!   re-execute — and an in-place [`ExecShared::reset`] replay. A torn tail
 //!   recovers to the root of the longest valid prefix.
-//! * **Identity matrix** — FLO and Worker clusters on the simulator, the
-//!   threaded runtime and the TCP runtime agree on the per-round execution
-//!   roots (the roots headers carry under the `k − (f+3)` lag rule), in
-//!   fault-free runs and under the partition-heal and crash-recover catalog
-//!   plans.
+//! * **Identity matrix** — FLO and Worker clusters on the simulator and the
+//!   TCP runtime agree on the per-round execution roots (the roots headers
+//!   carry under the `k − (f+3)` lag rule), in fault-free runs and under the
+//!   partition-heal catalog plan. Under crash-recover the two runtimes
+//!   legally follow different proposer sequences from the real run's crash
+//!   round on, so there each runtime's roots must equal a serial
+//!   re-execution of its own ledger, and the two runtimes must agree on the
+//!   prefix before either ledger leaves the fault-free proposer rotation.
 
 use fireledger_crypto::{CryptoPool, SimKeyStore};
 use fireledger_exec::{execute_block, ExecConfig, ExecShared, SerialExecutor, StateMachine};
@@ -235,7 +238,7 @@ fn pipelined_execution_matches_serial_reference_over_10k_blocks() {
 
 #[test]
 fn stage_thread_execution_matches_inline_execution() {
-    // The threads/tcp runtimes drain through a dedicated stage thread; the
+    // The tcp runtime drains through a dedicated stage thread; the
     // simulator drains inline on enqueue. Same ledger, same root — the
     // scheduling seam must be invisible in the state.
     let ledger = random_ledger(0x57A6E, 120, 48);
@@ -577,25 +580,26 @@ fn matrix_scenario(name: &str, plan: Option<FaultPlan>) -> Scenario {
 /// Runs one protocol on one runtime and extracts, per worker stream, the
 /// executed state root after every round up to the deepest round *every*
 /// node of that stream has executed. Asserts intra-cluster identity (all
-/// nodes agree on every per-round root) before returning node 0's trace.
+/// nodes agree on every per-round root) before returning node 0's trace,
+/// together with every node's delivered ledger.
 fn exec_root_trace<P: ClusterProtocol, R: Runtime>(
     runtime: &R,
     workers: usize,
     plan: Option<FaultPlan>,
-) -> Vec<Vec<Hash>> {
+) -> (Vec<Vec<Hash>>, Vec<Vec<Delivery>>) {
     let builder = ClusterBuilder::<P>::new(matrix_params(workers))
         .with_seed(7)
         // The trace below reads the root of *every* round after the run,
         // so the retention window has to outlast whatever a runtime gets
-        // through in the scenario (threads: several thousand rounds).
+        // through in the scenario (tcp: up to a few thousand rounds).
         .with_execution(ExecConfig {
             root_retention: 1 << 20,
             ..ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE)
         });
     let plan_name = plan.as_ref().map(|p| p.name.clone()).unwrap_or_default();
     let scenario = matrix_scenario("exec-identity", plan);
-    let report = runtime
-        .run(&builder, &scenario)
+    let (report, deliveries) = runtime
+        .run_full(&builder, &scenario)
         .unwrap_or_else(|e| panic!("identity run failed on {}: {e}", runtime.name()));
     assert_eq!(
         report.execution.root_mismatches,
@@ -605,7 +609,7 @@ fn exec_root_trace<P: ClusterProtocol, R: Runtime>(
     );
     let shards = builder.exec_shards().expect("execution was enabled");
     let nodes = shards.len();
-    (0..shards[0].len())
+    let trace = (0..shards[0].len())
         .map(|w| {
             let common = (0..nodes)
                 .filter_map(|n| shards[n][w].stats().last_round)
@@ -636,7 +640,8 @@ fn exec_root_trace<P: ClusterProtocol, R: Runtime>(
                 })
                 .collect()
         })
-        .collect()
+        .collect();
+    (trace, deliveries)
 }
 
 /// Cross-runtime comparison: runtimes cover different amounts of protocol
@@ -663,20 +668,127 @@ fn assert_root_identity<P: ClusterProtocol>(
     workers: usize,
     plan: Option<FaultPlan>,
 ) {
-    let sim = exec_root_trace::<P, _>(&Simulator, workers, plan.clone());
-    let threads = exec_root_trace::<P, _>(&Threads, workers, plan.clone());
-    let tcp = exec_root_trace::<P, _>(&Tcp, workers, plan);
-    assert_trace_prefixes(&sim, &threads, &format!("{protocol}: sim vs threads"));
+    let (sim, _) = exec_root_trace::<P, _>(&Simulator, workers, plan.clone());
+    let (tcp, _) = exec_root_trace::<P, _>(&Tcp, workers, plan);
     assert_trace_prefixes(&sim, &tcp, &format!("{protocol}: sim vs tcp"));
-    // The roots must actually move: a trace frozen at the genesis root
-    // would pass identity vacuously.
-    let moved = sim
+    assert_roots_move(&sim, protocol);
+}
+
+/// The roots must actually move: a trace frozen at the genesis root would
+/// pass identity vacuously.
+fn assert_roots_move(trace: &[Vec<Hash>], protocol: &str) {
+    let moved = trace
         .iter()
-        .any(|trace| trace.windows(2).any(|w| w[0] != w[1]) || trace.len() == 1);
+        .any(|t| t.windows(2).any(|w| w[0] != w[1]) || t.len() == 1);
     assert!(
-        sim.iter().any(|t| t.len() > 1) && moved,
+        trace.iter().any(|t| t.len() > 1) && moved,
         "{protocol}: no state transitions reached the executor"
     );
+}
+
+/// Node 0's delivered ledger of worker stream `w`, in delivery order.
+fn worker_ledger(deliveries: &[Vec<Delivery>], w: usize) -> Vec<&Delivery> {
+    deliveries[0]
+        .iter()
+        .filter(|d| d.worker == WorkerId(w as u32))
+        .collect()
+}
+
+/// Every per-round root of `trace` equals the root a [`SerialExecutor`]
+/// reaches by re-executing the same runtime's own delivered ledger. FLO's
+/// merge delivers a worker's block a little after the worker executed it,
+/// so the comparison covers the rounds both have reached.
+fn assert_roots_replay_own_ledger(
+    trace: &[Vec<Hash>],
+    deliveries: &[Vec<Delivery>],
+    context: &str,
+) {
+    for (w, roots) in trace.iter().enumerate() {
+        let ledger = worker_ledger(deliveries, w);
+        let replayed = roots.len().min(ledger.len());
+        assert!(replayed > 0, "{context}: worker {w} delivered nothing");
+        let mut serial = SerialExecutor::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE);
+        for (r, (root, d)) in roots.iter().zip(&ledger).enumerate() {
+            assert_eq!(
+                d.round,
+                Round(r as u64),
+                "{context}: worker {w} ledger has a gap"
+            );
+            serial.execute_block(&d.block.txs);
+            assert_eq!(
+                *root,
+                serial.root(),
+                "{context}: worker {w} round {r} root differs from a serial re-execution of the runtime's own ledger"
+            );
+        }
+    }
+}
+
+/// The length of `ledger`'s prefix that follows the fault-free proposer
+/// rotation: each round proposed by the successor of the previous round's
+/// proposer among `n` nodes.
+fn rotation_prefix(ledger: &[&Delivery], n: u32) -> usize {
+    ledger
+        .windows(2)
+        .position(|w| w[1].proposer.0 != (w[0].proposer.0 + 1) % n)
+        .map_or(ledger.len(), |i| i + 1)
+}
+
+/// Sim and tcp agree — ledgers and per-round roots — on every round before
+/// the first at which either ledger leaves the fault-free rotation.
+fn assert_runtimes_agree_before_the_rotation_breaks(
+    (sim, sim_ledgers): (&[Vec<Hash>], &[Vec<Delivery>]),
+    (tcp, tcp_ledgers): (&[Vec<Hash>], &[Vec<Delivery>]),
+    protocol: &str,
+) {
+    assert_eq!(
+        sim.len(),
+        tcp.len(),
+        "{protocol}: worker stream counts differ"
+    );
+    for w in 0..sim.len() {
+        let (sim_ledger, tcp_ledger) =
+            (worker_ledger(sim_ledgers, w), worker_ledger(tcp_ledgers, w));
+        let common = rotation_prefix(&sim_ledger, 4)
+            .min(rotation_prefix(&tcp_ledger, 4))
+            .min(sim[w].len())
+            .min(tcp[w].len());
+        assert!(
+            common > 0,
+            "{protocol}: worker {w} has no common executed prefix in rotation"
+        );
+        assert_eq!(
+            sim_ledger[..common],
+            tcp_ledger[..common],
+            "{protocol}: sim vs tcp ledgers diverged on worker {w} before the rotation broke"
+        );
+        assert_eq!(
+            sim[w][..common],
+            tcp[w][..common],
+            "{protocol}: sim vs tcp execution roots diverged on worker {w} before the rotation broke"
+        );
+    }
+}
+
+/// The crash-recover form of the identity matrix. The crash lands at 250 ms
+/// of wall time on tcp and of virtual time on the simulator, so the two
+/// runs reach it at different rounds; from there each follows its own legal
+/// proposer sequence. So each runtime's roots are checked against a serial
+/// re-execution of its own ledger, and the runtimes against each other on
+/// the prefix before either ledger leaves the fault-free rotation.
+fn assert_crash_recover_roots<P: ClusterProtocol>(protocol: &str, workers: usize) {
+    let plan =
+        catalog::crash_recover_last(4, Duration::from_millis(250), Duration::from_millis(500));
+    let (sim, sim_ledgers) = exec_root_trace::<P, _>(&Simulator, workers, Some(plan.clone()));
+    let (tcp, tcp_ledgers) = exec_root_trace::<P, _>(&Tcp, workers, Some(plan));
+    assert_roots_replay_own_ledger(&sim, &sim_ledgers, &format!("{protocol}: sim"));
+    assert_roots_replay_own_ledger(&tcp, &tcp_ledgers, &format!("{protocol}: tcp"));
+    assert_runtimes_agree_before_the_rotation_breaks(
+        (&sim, &sim_ledgers),
+        (&tcp, &tcp_ledgers),
+        protocol,
+    );
+    assert_roots_move(&sim, protocol);
 }
 
 #[test]
@@ -703,14 +815,10 @@ fn worker_state_root_identity_survives_partition_heal() {
 
 #[test]
 fn flo_state_root_identity_survives_crash_recover() {
-    let plan =
-        catalog::crash_recover_last(4, Duration::from_millis(250), Duration::from_millis(500));
-    assert_root_identity::<FloCluster>("flo/crash-recover", 2, Some(plan));
+    assert_crash_recover_roots::<FloCluster>("flo/crash-recover", 2);
 }
 
 #[test]
 fn worker_state_root_identity_survives_crash_recover() {
-    let plan =
-        catalog::crash_recover_last(4, Duration::from_millis(250), Duration::from_millis(500));
-    assert_root_identity::<Worker>("worker/crash-recover", 1, Some(plan));
+    assert_crash_recover_roots::<Worker>("worker/crash-recover", 1);
 }

@@ -1,6 +1,6 @@
 //! The adversity acceptance suite: one declarative `FaultPlan` value drives
-//! the simulator, the threaded runtime and the TCP runtime, and FireLedger
-//! keeps its guarantees under every catalog plan.
+//! the simulator and the TCP runtime, and FireLedger keeps its guarantees
+//! under every catalog plan.
 //!
 //! What is provable differs by plan, and the assertions here are exactly the
 //! guarantees `docs/SCENARIOS.md` documents:
@@ -11,8 +11,8 @@
 //! * **Cross-runtime ledger identity (content-preserving plans)** — plans
 //!   that cannot change protocol *decisions* (bounded delay/reorder well
 //!   under the timeout, duplication, mild loss recovered by FLO's pull +
-//!   evidence-carrying fallback) must produce the *same* ledger on sim,
-//!   threads and tcp. Plans that stall quorums (partition, crash-recover)
+//!   evidence-carrying fallback) must produce the *same* ledger on sim and
+//!   tcp. Plans that stall quorums (partition, crash-recover)
 //!   legitimately resolve rounds differently per timing, so cross-runtime
 //!   identity is not asserted for them — within-run agreement is.
 //! * **β-fallback liveness** — under quorum-stalling plans the cluster keeps
@@ -24,7 +24,7 @@
 
 use fireledger::{AcceptAll, FloNode};
 use fireledger_crypto::{CostModel, CryptoProvider, SharedCrypto, SimKeyStore};
-use fireledger_net::RealtimeCluster;
+use fireledger_net::{RealtimeCluster, TcpEngine};
 use fireledger_runtime::catalog;
 use fireledger_runtime::prelude::*;
 use fireledger_types::{Error, Signature};
@@ -122,27 +122,10 @@ fn every_plan_preserves_agreement_on_the_simulator() {
 }
 
 #[test]
-fn every_plan_preserves_agreement_on_threads() {
-    for (plan, duration) in acceptance_plans() {
-        let (report, deliveries) = run_on(&Threads, &plan, duration);
-        assert_eq!(report.fault_plan, plan.name);
-        assert_agreement(
-            &deliveries,
-            &unaffected(&plan, 4),
-            &format!("threads/{}", plan.name),
-        );
-        assert!(report.tps > 0.0, "{}: no throughput on threads", plan.name);
-    }
-}
-
-#[test]
 fn every_plan_preserves_agreement_on_tcp() {
-    // The TCP cells run the same plans as the other runtimes but shortened —
-    // this is the CI "tcp smoke" half of the fault matrix (socket setup and
-    // per-frame codec work make tcp the slowest runtime).
+    // The same plans at the same full length as on the simulator.
     for (plan, duration) in acceptance_plans() {
-        let smoke = duration.min(plan.last_event_at() + ms(300));
-        let (report, deliveries) = run_on(&Tcp, &plan, smoke);
+        let (report, deliveries) = run_on(&Tcp, &plan, duration);
         assert_eq!(report.fault_plan, plan.name);
         assert_agreement(
             &deliveries,
@@ -157,7 +140,7 @@ fn every_plan_preserves_agreement_on_tcp() {
 fn content_preserving_plans_deliver_identical_ledgers_on_all_three_runtimes() {
     // Bounded delay/reorder (well under the 250 ms timeout) and duplication
     // cannot change what the protocol decides — so the *contents* of the
-    // ledger must match across sim, threads and tcp, exactly like the
+    // ledger must match across sim and tcp, exactly like the
     // fault-free equivalence suite. Loss is deliberately absent here: a
     // dropped header can turn a round's fallback into "skip and rotate the
     // proposer", and *which* runs skip depends on timing, so lossy runs on
@@ -169,17 +152,10 @@ fn content_preserving_plans_deliver_identical_ledgers_on_all_three_runtimes() {
     ];
     for (plan, duration) in content_preserving {
         let (_, sim) = run_on(&Simulator, &plan, duration);
-        let (_, threads) = run_on(&Threads, &plan, duration);
         let (_, tcp) = run_on(&Tcp, &plan, duration);
-        let vs_threads = check_delivery_prefixes(&sim, &threads)
-            .unwrap_or_else(|why| panic!("{}: sim vs threads diverged: {why}", plan.name));
-        let vs_tcp = check_delivery_prefixes(&sim, &tcp)
+        let compared = check_delivery_prefixes(&sim, &tcp)
             .unwrap_or_else(|why| panic!("{}: sim vs tcp diverged: {why}", plan.name));
-        assert!(
-            vs_threads > 0 && vs_tcp > 0,
-            "{}: empty comparison",
-            plan.name
-        );
+        assert!(compared > 0, "{}: empty comparison", plan.name);
     }
 }
 
@@ -216,16 +192,16 @@ fn partition_stalls_commits_and_heals_visibly_in_the_report() {
 
     // The same stall/recovery shape on a wall-clock runtime (with generous
     // tolerances: scheduling noise moves the edges, not the shape).
-    let (report, _) = run_on(&Threads, &plan, ms(1100));
+    let (report, _) = run_on(&Tcp, &plan, ms(1100));
     let d = &report.per_node[0];
     assert!(
         d.max_gap_secs >= gap * 0.5,
-        "threads: max_gap {:.3}s shows no stall across the split",
+        "tcp: max_gap {:.3}s shows no stall across the split",
         d.max_gap_secs
     );
     assert!(
         d.last_delivery_secs > heal.as_secs_f64() * 0.9,
-        "threads: no recovery after the heal (last at {:.3}s)",
+        "tcp: no recovery after the heal (last at {:.3}s)",
         d.last_delivery_secs
     );
 }
@@ -301,7 +277,7 @@ fn fault_budget_is_enforced_across_builder_and_plan() {
         Err(Error::FaultBudgetExceeded { faulty: 2, f: 1 })
     ));
     assert!(matches!(
-        Threads.run(&cluster, &scenario),
+        Tcp.run(&cluster, &scenario),
         Err(Error::FaultBudgetExceeded { .. })
     ));
     // One plan fault plus one builder crash role on distinct nodes also
@@ -377,8 +353,8 @@ impl CryptoProvider for BadSigner {
 
 #[test]
 fn corrupt_signer_is_rejected_in_loop_and_never_delivered() {
-    // A 4-node cluster on in-process channels whose node 3 signs through
-    // the corrupting provider; everyone (node 3 included) verifies honestly.
+    // A 4-node socket cluster whose node 3 signs through the corrupting
+    // provider; everyone (node 3 included) verifies honestly.
     let n = 4;
     let params = ProtocolParams::new(n)
         .with_workers(1)
@@ -400,7 +376,8 @@ fn corrupt_signer_is_rejected_in_loop_and_never_delivered() {
             FloNode::new(NodeId(i), params.clone(), crypto, Arc::new(AcceptAll))
         })
         .collect();
-    let cluster = RealtimeCluster::spawn_channels(nodes, None, None, &[]);
+    let cluster =
+        RealtimeCluster::spawn_engine(nodes, None, None, None, &[], TcpEngine).expect("mesh setup");
     std::thread::sleep(ms(1_200));
     let deliveries = cluster.shutdown();
     // Safety: no block proposed by the corrupt signer is ever delivered —

@@ -112,14 +112,6 @@ fn sim_ingress_survives_partition_heal_and_crash_recover() {
 }
 
 #[test]
-fn threads_ingress_survives_partition_heal_and_crash_recover() {
-    assert_zero_accepted_then_lost(
-        Threads,
-        ClusterBuilder::<FloCluster>::new(test_params(4, 1).with_fill_blocks(false)).with_seed(23),
-    );
-}
-
-#[test]
 fn tcp_ingress_survives_partition_heal_and_crash_recover() {
     assert_zero_accepted_then_lost(
         Tcp,

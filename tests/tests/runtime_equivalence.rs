@@ -1,13 +1,13 @@
 //! Cross-runtime ledger identity: the acceptance test of the TCP runtime.
 //!
 //! The same `ClusterBuilder` + `Scenario` pair is executed on the
-//! deterministic simulator, on the threaded runtime (messages moved
-//! in-process) and on the TCP runtime (every message serialized through the
-//! binary wire format of `docs/WIRE_FORMAT.md`, framed, written to a real
-//! localhost socket, and decoded on the far side). For all five protocols of
-//! the paper's matrix, every node must deliver the *same ledger* on every
-//! runtime — prefix equality of the delivered block sequences, since the
-//! runtimes cover different amounts of protocol time in the same scenario.
+//! deterministic simulator and on the TCP runtime (every message serialized
+//! through the binary wire format of `docs/WIRE_FORMAT.md`, framed, written
+//! to a real localhost socket, and decoded on the far side). For all five
+//! protocols of the paper's matrix, every node must deliver the *same
+//! ledger* on both runtimes — prefix equality of the delivered block
+//! sequences, since the runtimes cover different amounts of protocol time in
+//! the same scenario.
 //!
 //! Timeouts are deliberately generous (250 ms base against microsecond
 //! localhost latency) so that no spurious real-time timeout can change a
@@ -44,13 +44,10 @@ fn deliveries_on<P: ClusterProtocol, R: Runtime>(runtime: &R) -> Vec<Vec<Deliver
 
 fn assert_identical_ledgers<P: ClusterProtocol>(protocol: &str) {
     let sim = deliveries_on::<P, _>(&Simulator);
-    let threads = deliveries_on::<P, _>(&Threads);
     let tcp = deliveries_on::<P, _>(&Tcp);
-    let vs_threads = check_delivery_prefixes(&sim, &threads)
-        .unwrap_or_else(|why| panic!("{protocol}: sim vs threads diverged: {why}"));
-    let vs_tcp = check_delivery_prefixes(&sim, &tcp)
+    let compared = check_delivery_prefixes(&sim, &tcp)
         .unwrap_or_else(|why| panic!("{protocol}: sim vs tcp diverged: {why}"));
-    assert!(vs_threads > 0 && vs_tcp > 0);
+    assert!(compared > 0);
 }
 
 #[test]
@@ -82,7 +79,7 @@ fn bft_smart_delivers_the_same_ledger_on_all_three_runtimes() {
 fn flo_ledger_identity_survives_content_preserving_adversity() {
     // The fault-free identity proof, repeated under a fault plan that cannot
     // change protocol decisions (1–4 ms of injected delay + reorder against
-    // a 250 ms timeout): the same plan value drives all three runtimes and
+    // a 250 ms timeout): the same plan value drives both runtimes and
     // the ledgers still match block for block. The full adversity matrix —
     // including the plans where cross-runtime identity is deliberately NOT
     // asserted — lives in tests/tests/fault_matrix.rs.
@@ -102,10 +99,7 @@ fn flo_ledger_identity_survives_content_preserving_adversity() {
             .1
     }
     let sim = run(&Simulator, &adverse);
-    let threads = run(&Threads, &adverse);
     let tcp = run(&Tcp, &adverse);
-    check_delivery_prefixes(&sim, &threads)
-        .unwrap_or_else(|why| panic!("flo under delay-reorder: sim vs threads diverged: {why}"));
     check_delivery_prefixes(&sim, &tcp)
         .unwrap_or_else(|why| panic!("flo under delay-reorder: sim vs tcp diverged: {why}"));
 }

@@ -1,6 +1,6 @@
 //! The acceptance test of the unified API: **one** `Scenario` value drives
 //! all five protocols of the paper's matrix through `ClusterBuilder`, on both
-//! the deterministic simulator and the threaded real-time runtime, and every
+//! the deterministic simulator and the real-time socket runtime, and every
 //! run returns a `RunReport` with the identical schema.
 
 use fireledger_integration_tests::test_params;
@@ -41,13 +41,13 @@ fn run_matrix<R: Runtime>(runtime: &R, scenario: &Scenario) -> Vec<RunReport> {
 fn one_scenario_drives_all_five_protocols_on_both_runtimes() {
     let scenario = scenario();
     let sim_reports = run_matrix(&Simulator, &scenario);
-    let thread_reports = run_matrix(&Threads, &scenario);
+    let tcp_reports = run_matrix(&Tcp, &scenario);
 
     let names: Vec<&str> = sim_reports.iter().map(|r| r.protocol.as_str()).collect();
     assert_eq!(names, ["flo", "wrb-obbc", "pbft", "hotstuff", "bft-smart"]);
 
     // Every cell of the matrix made progress...
-    for r in sim_reports.iter().chain(thread_reports.iter()) {
+    for r in sim_reports.iter().chain(tcp_reports.iter()) {
         assert!(
             r.tps > 0.0,
             "{} on {} produced no throughput",
@@ -65,7 +65,7 @@ fn one_scenario_drives_all_five_protocols_on_both_runtimes() {
     // ...and every report round-trips with the same schema, regardless of
     // protocol or runtime.
     let reference = sim_reports[0].schema();
-    for r in sim_reports.iter().chain(thread_reports.iter()) {
+    for r in sim_reports.iter().chain(tcp_reports.iter()) {
         assert_eq!(
             r.schema(),
             reference,

@@ -6,7 +6,7 @@
 //! The assertions here are the guarantees docs/SCENARIOS.md documents for
 //! the kill-restart catalog entry:
 //!
-//! * **Post-restart ledger identity (all three runtimes)** — the restarted
+//! * **Post-restart ledger identity (both runtimes)** — the restarted
 //!   node's delivery log, rebuilt by replaying the block log, is
 //!   prefix-identical to the untouched nodes' logs. Recovery never invents
 //!   or reorders a block.
@@ -108,12 +108,6 @@ fn kill_restart_rebuilds_the_ledger_from_disk_on_all_three_runtimes() {
     assert_recovered_prefix(&deliveries, 3, "sim");
     std::fs::remove_dir_all(&dir).ok();
 
-    let dir = store_dir("kill-threads");
-    let (report, deliveries) = run_durable(&Threads, plan.clone(), ms(1200), &dir);
-    assert_eq!(report.durability, "fsync-every4");
-    assert_recovered_prefix(&deliveries, 3, "threads");
-    std::fs::remove_dir_all(&dir).ok();
-
     let dir = store_dir("kill-tcp");
     let (report, deliveries) = run_durable(&Tcp, plan, ms(1200), &dir);
     assert_eq!(report.durability, "fsync-every4");
@@ -136,7 +130,7 @@ fn kill_fall_behind_restart_range_fetches_the_gap() {
         .with_tx_size(64)
         .with_base_timeout(ms(20));
     let plan = FaultPlan::named("kill-lag").kill_restart(NodeId(3), ms(200), ms(1400));
-    for name in ["sim", "threads"] {
+    for name in ["sim", "tcp"] {
         let dir = store_dir(&format!("kill-lag-{name}"));
         let scenario = Scenario::new("recovery-kill-lag")
             .ideal()
@@ -149,7 +143,7 @@ fn kill_fall_behind_restart_range_fetches_the_gap() {
             .with_store(&dir, FsyncPolicy::EveryN(4));
         let (_, deliveries) = match name {
             "sim" => Simulator.run_full(&builder, &scenario),
-            _ => Threads.run_full(&builder, &scenario),
+            _ => Tcp.run_full(&builder, &scenario),
         }
         .unwrap_or_else(|e| panic!("kill-lag run failed on {name}: {e}"));
 
@@ -215,9 +209,9 @@ fn torn_write_during_downtime_recovers_to_the_last_valid_record() {
 
     // Same damage on a wall-clock runtime: the fault is applied to the real
     // segment files between the kill and the restart.
-    let dir = store_dir("torn-threads");
-    let (_, deliveries) = run_durable(&Threads, plan, ms(1200), &dir);
-    assert_recovered_prefix(&deliveries, 3, "threads/torn-write");
+    let dir = store_dir("torn-tcp");
+    let (_, deliveries) = run_durable(&Tcp, plan, ms(1200), &dir);
+    assert_recovered_prefix(&deliveries, 3, "tcp/torn-write");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -234,9 +228,9 @@ fn corrupt_tail_during_downtime_recovers_to_the_last_valid_record() {
     assert_recovered_prefix(&deliveries, 3, "sim/corrupt-tail");
     std::fs::remove_dir_all(&dir).ok();
 
-    let dir = store_dir("corrupt-threads");
-    let (_, deliveries) = run_durable(&Threads, plan, ms(1200), &dir);
-    assert_recovered_prefix(&deliveries, 3, "threads/corrupt-tail");
+    let dir = store_dir("corrupt-tcp");
+    let (_, deliveries) = run_durable(&Tcp, plan, ms(1200), &dir);
+    assert_recovered_prefix(&deliveries, 3, "tcp/corrupt-tail");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -93,26 +93,6 @@ fn sim_flo_multiworker_late_join_smoke() {
 }
 
 #[test]
-fn threads_flo_late_join_smoke() {
-    assert_late_join_catches_up(
-        Threads,
-        ClusterBuilder::<FloCluster>::new(test_params(4, 1)),
-        100,
-        Duration::from_secs(4),
-    );
-}
-
-#[test]
-fn threads_worker_late_join_smoke() {
-    assert_late_join_catches_up(
-        Threads,
-        ClusterBuilder::<Worker>::new(test_params(4, 1)),
-        100,
-        Duration::from_secs(4),
-    );
-}
-
-#[test]
 fn tcp_flo_late_join_smoke() {
     assert_late_join_catches_up(
         Tcp,
@@ -162,32 +142,21 @@ fn sim_worker_late_join_full_5k() {
 
 #[test]
 #[ignore = "release-sized: run via the sync-matrix CI job"]
-fn threads_flo_late_join_full_5k() {
-    assert_late_join_catches_up(
-        Threads,
-        ClusterBuilder::<FloCluster>::new(test_params(4, 1)),
-        5_000,
-        Duration::from_secs(10),
-    );
-}
-
-#[test]
-#[ignore = "release-sized: run via the sync-matrix CI job"]
-fn threads_worker_late_join_full_5k() {
-    assert_late_join_catches_up(
-        Threads,
-        ClusterBuilder::<Worker>::new(test_params(4, 1)),
-        5_000,
-        Duration::from_secs(10),
-    );
-}
-
-#[test]
-#[ignore = "release-sized: run via the sync-matrix CI job"]
 fn tcp_flo_late_join_full_5k() {
     assert_late_join_catches_up(
         Tcp,
         ClusterBuilder::<FloCluster>::new(test_params(4, 1)),
+        5_000,
+        Duration::from_secs(12),
+    );
+}
+
+#[test]
+#[ignore = "release-sized: run via the sync-matrix CI job"]
+fn tcp_worker_late_join_full_5k() {
+    assert_late_join_catches_up(
+        Tcp,
+        ClusterBuilder::<Worker>::new(test_params(4, 1)),
         5_000,
         Duration::from_secs(12),
     );
