@@ -40,8 +40,8 @@ impl WireSize for OrderedBatch {
 }
 
 /// Layout per WIRE_FORMAT.md §7.3:
-/// `assembler u32 | seq u64 | txs Vec<Transaction>`. PBFT and the
-/// BFT-SMaRt-style service exchange these inside [`PbftMsg`] (§5.2).
+/// `assembler u32 | seq u64 | txs Vec<Transaction>`. The BFT-SMaRt-style
+/// service exchanges these inside [`PbftMsg`] (§5.2).
 impl WireCodec for OrderedBatch {
     fn encode_to(&self, out: &mut Vec<u8>) {
         self.assembler.encode_to(out);
@@ -66,6 +66,8 @@ impl WireCodec for OrderedBatch {
 const TIMER_PUMP: u8 = 3;
 /// Timer kind handed to the embedded PBFT instance.
 const TIMER_PBFT: u8 = 0xAB;
+/// Number of batches the leader keeps in flight (pipelining).
+const PIPELINE: usize = 4;
 
 /// Takes up to `batch_size` transactions from `pool`, padding with synthetic
 /// `tx_size`-byte transactions when `fill` is set (the paper's saturated-load
@@ -105,8 +107,6 @@ pub struct BftSmartNode {
     pbft: Pbft<OrderedBatch>,
     pool: Vec<Transaction>,
     next_batch_seq: u64,
-    /// Number of batches the leader keeps in flight (pipelining).
-    pipeline: usize,
     inflight: usize,
     delivered_batches: u64,
 }
@@ -122,7 +122,6 @@ impl BftSmartNode {
             pbft: Pbft::new(me, pbft_cfg),
             pool: Vec::new(),
             next_batch_seq: 0,
-            pipeline: 4,
             inflight: 0,
             delivered_batches: 0,
             params,
@@ -149,7 +148,7 @@ impl BftSmartNode {
         if !self.pbft.is_leader() {
             return;
         }
-        while self.inflight < self.pipeline {
+        while self.inflight < PIPELINE {
             let seq = self.next_batch_seq;
             let txs = batch_from_pool(
                 &mut self.pool,

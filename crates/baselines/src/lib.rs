@@ -12,9 +12,7 @@
 //!   optimistic case).
 //! * [`bftsmart`] — a BFT-SMaRt-style ordering service: a PBFT atomic
 //!   broadcast (from `fireledger-bft`) driven by a pipelining batching leader
-//!   (Figure 17's comparator);
-//! * [`pbft_node`] — classical stop-and-wait PBFT state-machine replication,
-//!   the textbook baseline of the matrix.
+//!   (Figure 17's comparator).
 //!
 //! [`Protocol`]: fireledger_types::Protocol
 
@@ -23,8 +21,6 @@
 
 pub mod bftsmart;
 pub mod hotstuff;
-pub mod pbft_node;
 
 pub use bftsmart::{BftSmartNode, OrderedBatch};
 pub use hotstuff::{HotStuffMsg, HotStuffNode};
-pub use pbft_node::PbftNode;

@@ -56,7 +56,7 @@ fn main() {
     // (amortised over the rounds) and applies a pre-built run of blocks.
     const ROUNDS: u64 = 256;
     section(&format!(
-        "execute_block x{ROUNDS}, 100 disjoint ops each over 4096 accounts (width 1)"
+        "execute_block x{ROUNDS}, 100 disjoint ops each over 4096 accounts"
     ));
     let genesis = StateMachine::with_genesis(4096, 1 << 40);
     let blocks: Vec<Vec<Transaction>> = (0..ROUNDS)

@@ -33,12 +33,6 @@ fn main() {
                 .unwrap()
                 .tps
         });
-        bench_with_target(&format!("pbft/{n}"), target, || {
-            Simulator
-                .run(&ClusterBuilder::<PbftNode>::new(params.clone()), &scenario)
-                .unwrap()
-                .tps
-        });
         bench_with_target(&format!("hotstuff/{n}"), target, || {
             Simulator
                 .run(

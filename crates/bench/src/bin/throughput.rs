@@ -1,9 +1,10 @@
 //! The simulator's throughput trajectory.
 //!
-//! Runs the hot-path protocols (FLO, HotStuff, PBFT) on the deterministic
-//! simulator with one mid-size configuration and appends the resulting
-//! points — tps, bps, latency percentiles, and an allocations-per-block
-//! proxy — as one labelled *run* to `BENCH_throughput.json`. Simulated rows
+//! Runs the hot-path protocols (FLO, HotStuff, BFT-SMaRt) on the
+//! deterministic simulator with one mid-size configuration and appends the
+//! resulting points — tps, bps, latency percentiles, and an
+//! allocations-per-block proxy — as one labelled *run* to
+//! `BENCH_throughput.json`. Simulated rows
 //! are byte-identical across re-runs, so a change in them is a change in
 //! the protocol's behaviour or its modelled cost, never host noise.
 //!
@@ -181,7 +182,7 @@ fn main() {
     // β = 100 transactions of σ = 512 bytes, saturated, with a pinned base
     // timeout and an inline crypto pipeline.
     let mut points = Vec::new();
-    for system in [System::Flo, System::HotStuff, System::Pbft] {
+    for system in [System::Flo, System::HotStuff, System::BftSmart] {
         let cfg = ExperimentConfig::flo(4, 2, 100, 512)
             .system(system)
             .with_base_timeout(Duration::from_millis(250))
@@ -306,18 +307,15 @@ fn main() {
     // The execution section: the pipelined execution engine's
     // executed-transitions/s rows. FLO runs saturated with *executable*
     // filler (deterministic §12.1 op payloads) and the execution engine
-    // enabled, under two workload shapes: `disjoint` (conflict 0% — every
-    // conflict component is a single op, the partitioned apply's best case)
-    // and `conflict50` (half the ops land on a 4-entry hot key set). Each
+    // enabled, under two workload shapes: `disjoint` (conflict 0% — no two
+    // ops touch the same account) and `conflict50` (half the ops land on a
+    // 4-entry hot key set). Each
     // row records the report's `execution` section — executed blocks/txs,
     // applied transitions, transitions/s, receipt histogram, and the root
     // cross-check counters, which must show zero mismatches. Each row runs
     // twice and must serialize byte-identically — execution rides the
     // deterministic slicing, so any divergence is an engine bug.
     let exec_cluster = |conflict_pct: u8| {
-        // batch 64 keeps blocks above the partitioned apply's serial
-        // threshold, so the conflict knob actually changes the component
-        // structure the executor sees.
         ClusterBuilder::<FloCluster>::new(
             ProtocolParams::new(4)
                 .with_workers(2)

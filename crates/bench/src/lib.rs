@@ -32,8 +32,6 @@ pub enum System {
     Flo,
     /// A single WRB/OBBC FireLedger instance (no FLO merge).
     Wrb,
-    /// Classical PBFT.
-    Pbft,
     /// Chained HotStuff baseline.
     HotStuff,
     /// BFT-SMaRt-style ordering baseline.
@@ -42,13 +40,7 @@ pub enum System {
 
 impl System {
     /// Every protocol of the matrix.
-    pub const ALL: [System; 5] = [
-        System::Flo,
-        System::Wrb,
-        System::Pbft,
-        System::HotStuff,
-        System::BftSmart,
-    ];
+    pub const ALL: [System; 4] = [System::Flo, System::Wrb, System::HotStuff, System::BftSmart];
 }
 
 /// One experiment configuration (a point of a parameter sweep).
@@ -207,7 +199,6 @@ impl ExperimentConfig {
         let report = match self.system {
             System::Flo => Simulator.run(&self.builder::<FloCluster>(), &scenario),
             System::Wrb => Simulator.run(&self.builder::<Worker>(), &scenario),
-            System::Pbft => Simulator.run(&self.builder::<PbftNode>(), &scenario),
             System::HotStuff => Simulator.run(&self.builder::<HotStuffNode>(), &scenario),
             System::BftSmart => Simulator.run(&self.builder::<BftSmartNode>(), &scenario),
         }

@@ -1,387 +1,56 @@
-//! Conflict-partitioned block execution.
+//! Block execution: apply a block's transactions to the state, in order.
 //!
-//! The hot computation of the execution stage is "apply β ordered
-//! transactions". Done naively that is serial even when most transactions
-//! touch disjoint keys — the factorized-evaluation lesson: restructure the
-//! computation so independent work never serializes. [`execute_block`]
-//! partitions a block's ops into *conflict components* (union-find over the
-//! account/KV keys each op touches), applies each component serially against
-//! a scratch view of just its keys — components on scoped worker threads
-//! when `width > 1` — and writes the disjoint deltas back.
-//!
-//! ## Determinism
-//!
-//! Components are disjoint by construction: any two ops sharing a key land
-//! in the same component, so serial order *within* a component equals the
-//! global serial order restricted to it, and components cannot observe each
-//! other. The result — receipts in transaction order and the post-state —
-//! is therefore a pure function of the input, identical at every width; the
-//! differential tests in `tests/tests/exec_matrix.rs` pin this against the
-//! fully serial reference executor.
+//! [`execute_block`] decodes each transaction's payload and applies the
+//! executable ops one after another through [`StateMachine::apply_op`];
+//! opaque and malformed payloads get their receipt without touching the
+//! state. The result — receipts in transaction order and the post-state —
+//! is a pure function of the prior state and the block.
 
-use crate::state::{apply_op_on, Account, StateAccess, StateMachine};
-use fireledger_types::{Bytes, DecodedOp, Receipt, Transaction, TxOp};
-use std::collections::HashMap;
-
-/// Blocks with fewer executable ops than this always run serially: the
-/// partitioning bookkeeping has to outweigh a thread spawn to be worth it.
-const PAR_THRESHOLD: usize = 16;
-
-/// A key an op touches: account ids and KV keys live in disjoint namespaces.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Slot {
-    Account(u64),
-    Kv(u64),
-}
-
-/// The keys `op` touches, in a fixed small buffer (an op touches ≤ 2).
-fn touched(op: &TxOp) -> [Option<Slot>; 2] {
-    match op {
-        TxOp::CreateAccount { account, .. } => [Some(Slot::Account(*account)), None],
-        TxOp::Transfer { from, to, .. } => [Some(Slot::Account(*from)), Some(Slot::Account(*to))],
-        TxOp::KvPut { key, .. } | TxOp::KvDelete { key } | TxOp::Cas { key, .. } => {
-            [Some(Slot::Kv(*key)), None]
-        }
-    }
-}
-
-/// Union-find over op indices with path halving; no ranks — component
-/// shapes here are tiny and the find path is the hot part.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-    fn union(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            // Deterministic tie-break: the smaller index becomes the root,
-            // so component identity is independent of union order.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
-    }
-}
-
-/// A per-component scratch view over exactly the keys its ops touch.
-///
-/// Extracted from the shared state before the fan-out, mutated in place by
-/// the component's serial replay, written back after. `None` = the key does
-/// not exist (distinct from untouched: untouched keys are absent from the
-/// maps entirely, and a component op can never name one).
-struct ScratchState {
-    accounts: HashMap<u64, Option<Account>>,
-    kv: HashMap<u64, Option<Bytes>>,
-}
-
-impl StateAccess for ScratchState {
-    fn account(&self, id: u64) -> Option<Account> {
-        *self.accounts.get(&id).expect("untouched account key")
-    }
-    fn set_account(&mut self, id: u64, account: Account) {
-        self.accounts.insert(id, Some(account));
-    }
-    fn kv_get(&self, key: u64) -> Option<Bytes> {
-        self.kv.get(&key).expect("untouched kv key").clone()
-    }
-    fn kv_set(&mut self, key: u64, value: Bytes) {
-        self.kv.insert(key, Some(value));
-    }
-    fn kv_delete(&mut self, key: u64) {
-        self.kv.insert(key, None);
-    }
-}
-
-/// One conflict component: op indices in ascending (= serial) order plus
-/// the scratch view of the keys they touch.
-struct Component {
-    ops: Vec<usize>,
-    scratch: ScratchState,
-}
+use crate::state::StateMachine;
+use fireledger_types::{DecodedOp, Receipt, Transaction, TxOp};
 
 /// Executes a block's transactions against `state`, returning one receipt
 /// per transaction in order.
 ///
-/// `width ≤ 1` (and small or fully conflicting blocks) take the serial
-/// path; wider widths fan conflict components out across scoped worker
-/// threads. Results are identical at every width.
-pub fn execute_block(state: &mut StateMachine, txs: &[Transaction], width: usize) -> Vec<Receipt> {
-    let decoded: Vec<DecodedOp> = txs
-        .iter()
-        .map(|tx| TxOp::classify_payload(&tx.payload))
-        .collect();
-    let executable = decoded
-        .iter()
-        .filter(|d| matches!(d, DecodedOp::Op(_)))
-        .count();
-    if width <= 1 || executable < PAR_THRESHOLD {
-        return decoded
-            .iter()
-            .map(|d| match d {
-                DecodedOp::Op(op) => state.apply_op(op),
-                DecodedOp::Opaque => Receipt::Opaque,
-                DecodedOp::Malformed => Receipt::Malformed,
-            })
-            .collect();
-    }
-    execute_partitioned(state, &decoded, width)
-}
-
-fn execute_partitioned(
-    state: &mut StateMachine,
-    decoded: &[DecodedOp],
-    width: usize,
-) -> Vec<Receipt> {
-    // Group ops into conflict components: ops sharing any key are unioned.
-    let mut uf = UnionFind::new(decoded.len());
-    let mut first_touch: HashMap<Slot, usize> = HashMap::new();
-    for (i, d) in decoded.iter().enumerate() {
-        let DecodedOp::Op(op) = d else { continue };
-        for slot in touched(op).into_iter().flatten() {
-            match first_touch.get(&slot) {
-                Some(&j) => uf.union(i, j),
-                None => {
-                    first_touch.insert(slot, i);
-                }
-            }
-        }
-    }
-
-    // Materialize components in first-op order (deterministic), extracting
-    // each one's scratch view from the shared state.
-    let mut by_root: HashMap<usize, usize> = HashMap::new();
-    let mut components: Vec<Component> = Vec::new();
-    for (i, d) in decoded.iter().enumerate() {
-        let DecodedOp::Op(op) = d else { continue };
-        let root = uf.find(i);
-        let idx = *by_root.entry(root).or_insert_with(|| {
-            components.push(Component {
-                ops: Vec::new(),
-                scratch: ScratchState {
-                    accounts: HashMap::new(),
-                    kv: HashMap::new(),
-                },
-            });
-            components.len() - 1
-        });
-        let comp = &mut components[idx];
-        comp.ops.push(i);
-        for slot in touched(op).into_iter().flatten() {
-            match slot {
-                Slot::Account(id) => {
-                    comp.scratch
-                        .accounts
-                        .entry(id)
-                        .or_insert_with(|| StateAccess::account(state, id));
-                }
-                Slot::Kv(key) => {
-                    comp.scratch
-                        .kv
-                        .entry(key)
-                        .or_insert_with(|| state.kv_get(key));
-                }
-            }
-        }
-    }
-
-    let mut receipts = vec![Receipt::Opaque; decoded.len()];
-    for (i, d) in decoded.iter().enumerate() {
-        if matches!(d, DecodedOp::Malformed) {
-            receipts[i] = Receipt::Malformed;
-        }
-    }
-
-    // Replay each component serially against its scratch view; components
-    // are disjoint, so any schedule produces the same result. One fully
-    // conflicting block degenerates to one component — run it inline.
-    let slots: Vec<(usize, Receipt)> = if components.len() == 1 {
-        run_components(&mut components, decoded)
-    } else {
-        let threads = width.min(components.len());
-        let chunk = components.len().div_ceil(threads);
-        let mut out: Vec<(usize, Receipt)> = Vec::with_capacity(decoded.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = components
-                .chunks_mut(chunk)
-                .map(|chunk| scope.spawn(|| run_components(chunk, decoded)))
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("apply worker panicked"));
-            }
-        });
-        out
-    };
-    for (i, receipt) in slots {
-        receipts[i] = receipt;
-    }
-
-    // Write the disjoint deltas back.
-    for comp in components {
-        for (id, entry) in comp.scratch.accounts {
-            if let Some(account) = entry {
-                state.set_account(id, account);
-            }
-            // `None` means the account never came to exist (accounts are
-            // never deleted, so an extracted `Some` can't become `None`).
-        }
-        for (key, entry) in comp.scratch.kv {
-            match entry {
-                Some(value) => state.kv_set(key, value),
-                None => state.kv_delete(key),
-            }
-        }
-    }
-    receipts
-}
-
-/// Serially replays each component's ops against its scratch view.
-fn run_components(components: &mut [Component], decoded: &[DecodedOp]) -> Vec<(usize, Receipt)> {
-    let mut out = Vec::with_capacity(components.iter().map(|c| c.ops.len()).sum());
-    for comp in components {
-        for &i in &comp.ops {
-            let DecodedOp::Op(op) = &decoded[i] else {
-                unreachable!("components hold executable ops only");
-            };
-            out.push((i, apply_op_on(&mut comp.scratch, op)));
-        }
-    }
-    out
+/// `_width` is unused: every block runs serially. The parameter stays
+/// because the repo benchmark (`benchmark/`) calls this signature.
+pub fn execute_block(state: &mut StateMachine, txs: &[Transaction], _width: usize) -> Vec<Receipt> {
+    txs.iter()
+        .map(|tx| match TxOp::classify_payload(&tx.payload) {
+            DecodedOp::Op(op) => state.apply_op(&op),
+            DecodedOp::Opaque => Receipt::Opaque,
+            DecodedOp::Malformed => Receipt::Malformed,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireledger_types::DetRng;
-
-    fn op_tx(seq: u64, op: &TxOp) -> Transaction {
-        Transaction {
-            client: 0,
-            seq,
-            payload: op.encode_payload(),
-        }
-    }
-
-    /// A randomized mixed workload over a small hot key space (lots of
-    /// conflicts) plus a large cold one (lots of disjoint components).
-    fn random_block(rng: &mut DetRng, len: usize) -> Vec<Transaction> {
-        (0..len as u64)
-            .map(|seq| {
-                let hot = rng.gen_below(4) == 0;
-                let account = if hot {
-                    rng.gen_below(4)
-                } else {
-                    rng.gen_below(1000)
-                };
-                let op = match rng.gen_below(7) {
-                    0 => TxOp::CreateAccount {
-                        account,
-                        balance: rng.gen_below(1000),
-                    },
-                    1 | 2 => TxOp::Transfer {
-                        from: account,
-                        to: rng.gen_below(if hot { 4 } else { 1000 }),
-                        amount: rng.gen_below(200),
-                        nonce: rng.gen_below(3),
-                    },
-                    3 => TxOp::KvPut {
-                        key: rng.gen_below(64),
-                        value: Bytes::from(vec![rng.next_u64() as u8; 8]),
-                    },
-                    4 => TxOp::KvDelete {
-                        key: rng.gen_below(64),
-                    },
-                    5 => TxOp::Cas {
-                        key: rng.gen_below(64),
-                        expect: None,
-                        swap: Bytes::from(vec![7]),
-                    },
-                    // An opaque filler transaction.
-                    _ => return Transaction::zeroed(9, seq, 32),
-                };
-                op_tx(seq, &op)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn partitioned_apply_equals_serial_at_every_width() {
-        let mut rng = DetRng::seed_from_u64(0xE0);
-        for case in 0..40 {
-            let block = random_block(&mut rng, 96);
-            let mut serial = StateMachine::with_genesis(8, 500);
-            let serial_receipts = execute_block(&mut serial, &block, 1);
-            for width in [2, 3, 4, 8] {
-                let mut par = StateMachine::with_genesis(8, 500);
-                let par_receipts = execute_block(&mut par, &block, width);
-                assert_eq!(
-                    serial_receipts, par_receipts,
-                    "receipts diverged: case {case}, width {width}"
-                );
-                assert_eq!(serial, par, "state diverged: case {case}, width {width}");
-                assert_eq!(serial.root_serial(), par.root_serial());
-            }
-        }
-    }
-
-    #[test]
-    fn fully_conflicting_block_runs_in_one_component() {
-        // Every op touches account 0 — the degenerate single-component case.
-        let block: Vec<Transaction> = (0..32)
-            .map(|seq| {
-                op_tx(
-                    seq,
-                    &TxOp::Transfer {
-                        from: 0,
-                        to: 1,
-                        amount: 1,
-                        nonce: seq,
-                    },
-                )
-            })
-            .collect();
-        let mut serial = StateMachine::with_genesis(2, 1000);
-        let mut par = StateMachine::with_genesis(2, 1000);
-        assert_eq!(
-            execute_block(&mut serial, &block, 1),
-            execute_block(&mut par, &block, 4)
-        );
-        assert_eq!(serial, par);
-        assert_eq!(serial.account_state(0).unwrap().nonce, 32);
-    }
+    use fireledger_types::Bytes;
 
     #[test]
     fn opaque_and_malformed_receipts_keep_their_positions() {
-        let mut block = vec![
+        let create = TxOp::CreateAccount {
+            account: 1,
+            balance: 1,
+        };
+        let block = vec![
             Transaction::zeroed(1, 0, 16),
-            op_tx(
-                1,
-                &TxOp::CreateAccount {
-                    account: 1,
-                    balance: 1,
-                },
-            ),
+            Transaction {
+                client: 0,
+                seq: 1,
+                payload: create.encode_payload(),
+            },
+            Transaction {
+                client: 1,
+                seq: 2,
+                payload: Bytes::from(vec![fireledger_types::OP_MAGIC, 0xFF]),
+            },
         ];
-        block.push(Transaction {
-            client: 1,
-            seq: 2,
-            payload: Bytes::from(vec![fireledger_types::OP_MAGIC, 0xFF]),
-        });
         let mut state = StateMachine::new();
         assert_eq!(
-            execute_block(&mut state, &block, 4),
+            execute_block(&mut state, &block, 1),
             vec![Receipt::Opaque, Receipt::Applied, Receipt::Malformed]
         );
     }

@@ -23,8 +23,8 @@
 //! * [`state`] — the state machine and one shared transition function,
 //!   over an authenticated crit-bit map (`trie`) whose root rehashes only
 //!   the paths a block wrote;
-//! * [`apply`] — conflict-partitioned (factorized) block application,
-//!   identical results at every width;
+//! * [`apply`] — block application: a block's transactions applied in
+//!   order, one receipt each;
 //! * [`serial`] — the naive reference executor the differential battery
 //!   compares against;
 //! * [`shared`] — the pipelined executor handle, lag rule, root

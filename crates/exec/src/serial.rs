@@ -3,10 +3,10 @@
 //! [`SerialExecutor`] is the specification the pipelined engine is measured
 //! against: it applies every transaction of every block strictly in order on
 //! one thread and recomputes every root from the state's entries alone. No
-//! partitioning, no pool, no pipeline, no digest cache — deliberately
+//! queue, no stage thread, no lagged roots, no digest cache — deliberately
 //! boring. The differential battery (`tests/tests/exec_matrix.rs`) demands
-//! bit-identical roots and receipts between this and [`crate::ExecShared`]
-//! at every width.
+//! bit-identical roots and receipts between this and [`crate::ExecShared`],
+//! executing inline and on its stage thread.
 
 use crate::apply::execute_block;
 use crate::state::StateMachine;

@@ -38,10 +38,6 @@ use std::sync::{Arc, Condvar, Mutex};
 /// `ClusterBuilder::with_execution`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads for the conflict-partitioned apply; `0` means serial
-    /// (width 1). Every width computes identical results — this trades
-    /// latency only.
-    pub apply_width: usize,
     /// Accounts `0..genesis_accounts` exist from round 0 with
     /// `genesis_balance` each, so transfer workloads have accounts to move
     /// funds between. Part of the deterministic genesis: every replica
@@ -63,7 +59,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            apply_width: 0,
             genesis_accounts: 0,
             genesis_balance: 0,
             root_retention: 4096,
@@ -173,7 +168,6 @@ const MAX_MISMATCH_DETAILS: usize = 16;
 struct ExecCore {
     state: StateMachine,
     pool: CryptoPool,
-    width: usize,
     genesis: (u64, u64),
     base_root: Hash,
     /// Rounds `0..next_round` are executed; `queue[i]` holds the block for
@@ -204,7 +198,6 @@ impl ExecCore {
         ExecCore {
             state,
             pool,
-            width: config.apply_width.max(1),
             genesis: (config.genesis_accounts, config.genesis_balance),
             base_root,
             next_round: 0,
@@ -229,7 +222,7 @@ impl ExecCore {
             return false;
         };
         let round = self.next_round;
-        let receipts = execute_block(&mut self.state, &block.txs, self.width);
+        let receipts = execute_block(&mut self.state, &block.txs, 1);
         for receipt in &receipts {
             self.stats.receipts[receipt.kind_index()] += 1;
         }
@@ -311,7 +304,6 @@ impl ExecCore {
         let resets = self.stats.resets + 1;
         *self = ExecCore::new(
             &ExecConfig {
-                apply_width: self.width,
                 genesis_accounts: self.genesis.0,
                 genesis_balance: self.genesis.1,
                 root_retention: self.retention,
@@ -343,8 +335,7 @@ pub struct ExecShared {
 impl ExecShared {
     /// Creates an executor with no stage attached: enqueues execute inline
     /// until [`ExecShared::attach_stage`]. `pool` is only handed on to
-    /// [`StateMachine::root_with_pool`], which ignores it; the apply width
-    /// is [`ExecConfig::apply_width`].
+    /// [`StateMachine::root_with_pool`], which ignores it.
     pub fn new(config: &ExecConfig, pool: CryptoPool) -> Self {
         ExecShared {
             inner: Arc::new(Inner {

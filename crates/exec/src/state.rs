@@ -7,10 +7,9 @@
 //! state.
 //!
 //! The transition function itself is written once, generically over
-//! [`StateAccess`], and shared by the serial path and the
-//! conflict-partitioned parallel path (`crate::apply`) — the two *cannot*
-//! implement different semantics because they run the same code against
-//! different views of the state.
+//! [`StateAccess`]: [`StateMachine`] runs it over the full state, and the
+//! model test in this file runs the same code over a plain-map fake, so the
+//! semantics are pinned independently of the authenticated map.
 
 use crate::trie::{Namespace, StateTrie, Value};
 use fireledger_crypto::CryptoPool;
@@ -27,9 +26,9 @@ pub struct Account {
 
 /// Read/write access to the subset of state an op touches.
 ///
-/// [`StateMachine`] implements it over the full state; the parallel apply
-/// path implements it over per-component scratch views. [`apply_op_on`] is
-/// generic over this trait so both paths share one transition function.
+/// [`StateMachine`] implements it over the full state. [`apply_op_on`] is
+/// generic over this trait so the model test can drive the one transition
+/// function over a plain-map fake and compare it with [`StateMachine`].
 pub trait StateAccess {
     /// The account stored under `id`, if any.
     fn account(&self, id: u64) -> Option<Account>;
@@ -171,8 +170,7 @@ impl StateMachine {
         self.account(id)
     }
 
-    /// Iterates the accounts in id order (the parallel apply path extracts
-    /// touched entries through [`StateAccess`], not through this).
+    /// Iterates the accounts in id order.
     pub fn accounts(&self) -> impl Iterator<Item = (&u64, &Account)> {
         self.trie.entries().filter_map(|(id, value)| match value {
             Value::Account(account) => Some((id, account)),
@@ -182,7 +180,7 @@ impl StateMachine {
 
     /// The canonical state root (WIRE_FORMAT.md §12.3), rehashing only the
     /// paths written since the previous call: a pure function of the state,
-    /// independent of write order, apply width and pool width.
+    /// independent of write order.
     ///
     /// The pool and the two scratch vectors are unused; the signature is
     /// the one the repo benchmark (`benchmark/`) calls.
@@ -566,10 +564,9 @@ mod tests {
         let mut state = StateMachine::with_genesis(256, 10);
         cached_root(&state);
 
-        // 32 disjoint failing transfers take the partitioned path, which
-        // extracts and writes back all 64 accounts — unchanged.
+        // 32 disjoint failing transfers write nothing.
         let failing: Vec<Transaction> = (0..32).map(bad_nonce).collect();
-        let receipts = execute_block(&mut state, &failing, 4);
+        let receipts = execute_block(&mut state, &failing, 1);
         assert!(receipts
             .iter()
             .all(|r| matches!(r, Receipt::BadNonce { .. })));
@@ -584,12 +581,9 @@ mod tests {
                 value: Bytes::from(vec![1]),
             },
         ));
-        let mut serial = state.clone();
-        execute_block(&mut serial, &mixed, 1);
-        execute_block(&mut state, &mixed, 4);
+        execute_block(&mut state, &mixed, 1);
         assert_eq!(state.dirty_nodes(), 2, "the new leaf and the tag node");
-        assert_eq!(state.dirty_nodes(), serial.dirty_nodes());
-        assert_eq!(cached_root(&state), cached_root(&serial));
+        assert_eq!(cached_root(&state), state.root_serial());
     }
 
     #[test]

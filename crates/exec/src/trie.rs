@@ -18,8 +18,8 @@
 //!   and `L`/`R` are the entries whose bit `c` is `0`/`1`.
 //!
 //! The shape is a pure function of the key set, so the root is a pure
-//! function of the state: no insertion order, delete-then-reinsert detour,
-//! apply width or arena layout can show through. [`reference_root`]
+//! function of the state: no insertion order, delete-then-reinsert detour
+//! or arena layout can show through. [`reference_root`]
 //! computes the definition from a sorted entry list alone; [`StateTrie`]
 //! computes the same value incrementally.
 //!

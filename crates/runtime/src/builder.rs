@@ -11,7 +11,7 @@
 use fireledger::{
     AcceptAll, ClusterNode, EquivocatingNode, FloNode, SharedValidity, SilentProposerNode, Worker,
 };
-use fireledger_baselines::{BftSmartNode, HotStuffNode, PbftNode};
+use fireledger_baselines::{BftSmartNode, HotStuffNode};
 use fireledger_crypto::{CryptoPool, SharedCrypto, SimKeyStore};
 use fireledger_exec::{ExecConfig, ExecShared, ExecStage};
 use fireledger_store::{FsyncPolicy, NodeStore, RecoveredState};
@@ -103,7 +103,6 @@ pub struct BuildContext {
 /// |-------------------|--------------------------------------------|
 /// | [`FloCluster`]    | FireLedger / FLO (ω workers per node)      |
 /// | [`Worker`]        | a single WRB/OBBC FireLedger instance      |
-/// | [`PbftNode`]      | classical PBFT                             |
 /// | [`HotStuffNode`]  | chained HotStuff                           |
 /// | [`BftSmartNode`]  | BFT-SMaRt-style pipelined ordering         |
 ///
@@ -254,17 +253,6 @@ impl ClusterProtocol for Worker {
     }
 }
 
-impl ClusterProtocol for PbftNode {
-    const NAME: &'static str = "pbft";
-
-    fn build_node(ctx: &BuildContext, me: NodeId, role: &NodeRole) -> Result<Self> {
-        if role.is_byzantine() {
-            return Err(unsupported_role(Self::NAME, role));
-        }
-        Ok(PbftNode::new(me, ctx.params.clone(), ctx.crypto.clone()))
-    }
-}
-
 impl ClusterProtocol for HotStuffNode {
     const NAME: &'static str = "hotstuff";
 
@@ -366,10 +354,9 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
     ///
     /// The disjoint-workload scenario of docs/SCENARIOS.md: saturated
     /// *executable* filler ([`ProtocolParams::with_fill_ops`]) with
-    /// `conflict_pct: 0`, so every conflict component is a single
-    /// transaction — the partitioned apply's best case — and block
-    /// contents are a pure function of the filler stream, which is what
-    /// makes state roots comparable across runtimes at all:
+    /// `conflict_pct: 0`, so no two transactions touch the same account,
+    /// and block contents are a pure function of the filler stream, which
+    /// is what makes state roots comparable across runtimes at all:
     ///
     /// ```
     /// use fireledger_runtime::prelude::*;
@@ -752,13 +739,6 @@ mod tests {
             4
         );
         assert_eq!(
-            ClusterBuilder::<PbftNode>::new(p.clone())
-                .build()
-                .unwrap()
-                .len(),
-            4
-        );
-        assert_eq!(
             ClusterBuilder::<HotStuffNode>::new(p.clone())
                 .build()
                 .unwrap()
@@ -806,7 +786,7 @@ mod tests {
             .err()
             .expect("equivocation must be rejected");
         assert!(err.to_string().contains("hotstuff"));
-        assert!(ClusterBuilder::<PbftNode>::new(params(4))
+        assert!(ClusterBuilder::<BftSmartNode>::new(params(4))
             .with_role(NodeId(0), NodeRole::SilentProposer)
             .build()
             .is_err());

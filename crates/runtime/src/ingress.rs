@@ -41,7 +41,7 @@ const MAX_BACKOFF: Duration = Duration::from_millis(200);
 
 /// Size of the shared hot account set a conflicting transfer credits
 /// ([`PayloadKind::Transfers`]): small enough that conflicting transfers
-/// genuinely collide in the executor's conflict partitioning.
+/// genuinely collide on the same accounts.
 const HOT_ACCOUNTS: u64 = 4;
 
 /// What the client fleet puts inside each submitted transaction.
@@ -57,7 +57,7 @@ pub enum PayloadKind {
     /// Client *i* debits its private account `i mod accounts` with a
     /// fleet-tracked nonce. With probability `conflict_pct`% the transfer
     /// credits one of the `HOT_ACCOUNTS` (4) top accounts — a key conflict
-    /// the parallel apply must serialize — otherwise it is a self-transfer,
+    /// with every other client's hot credits — otherwise it is a self-transfer,
     /// whose footprint stays inside the client's own account and conflicts
     /// with nobody. `tx_size` is ignored: an encoded transfer is 34 bytes.
     Transfers {
@@ -440,8 +440,8 @@ impl Client {
                 let accounts = (*accounts).max(1);
                 let from = (self.id - 1) % accounts;
                 let to = if self.rng.below(100) < *conflict_pct as u64 {
-                    // Credit the shared hot set: a key conflict the
-                    // executor's parallel apply must serialize.
+                    // Credit the shared hot set: a key conflict with
+                    // every other client's hot credits.
                     accounts - 1 - self.rng.below(HOT_ACCOUNTS.min(accounts))
                 } else {
                     // Self-transfer: valid, consumes the nonce, and its

@@ -4,7 +4,7 @@
 //! way to build, run and observe any protocol cluster on any runtime.
 //!
 //! The paper's whole evaluation is a single experiment matrix —
-//! {FireLedger/FLO, PBFT, WRB/OBBC, HotStuff, BFT-SMaRt} × {single-DC, geo,
+//! {FireLedger/FLO, WRB/OBBC, HotStuff, BFT-SMaRt} × {single-DC, geo,
 //! crash, Byzantine} × {simulation, real sockets}. This crate
 //! makes each axis one value:
 //!
@@ -69,7 +69,7 @@ pub mod prelude {
         DEFAULT_REACTOR_THREADS,
     };
     pub use fireledger::{AcceptAll, ClusterNode, FloNode, Worker};
-    pub use fireledger_baselines::{BftSmartNode, HotStuffNode, PbftNode};
+    pub use fireledger_baselines::{BftSmartNode, HotStuffNode};
     pub use fireledger_exec::{ExecConfig, ExecShared, SerialExecutor};
     pub use fireledger_store::FsyncPolicy;
     pub use fireledger_types::{
@@ -108,9 +108,6 @@ mod tests {
                 .run(&ClusterBuilder::<Worker>::new(p.clone()), &s)
                 .unwrap(),
             Simulator
-                .run(&ClusterBuilder::<PbftNode>::new(p.clone()), &s)
-                .unwrap(),
-            Simulator
                 .run(&ClusterBuilder::<HotStuffNode>::new(p.clone()), &s)
                 .unwrap(),
             Simulator
@@ -118,7 +115,7 @@ mod tests {
                 .unwrap(),
         ];
         let names: Vec<&str> = reports.iter().map(|r| r.protocol.as_str()).collect();
-        assert_eq!(names, ["flo", "wrb-obbc", "pbft", "hotstuff", "bft-smart"]);
+        assert_eq!(names, ["flo", "wrb-obbc", "hotstuff", "bft-smart"]);
         for r in &reports {
             assert!(r.tps > 0.0, "{} produced no throughput", r.protocol);
             assert!(r.per_node.iter().all(|d| d.blocks > 0), "{}", r.protocol);

@@ -191,10 +191,10 @@ impl IngressReport {
 ///
 /// The conflicting-workload scenario of docs/SCENARIOS.md: half the
 /// executable filler's operations land on a 4-entry hot set
-/// (`conflict_pct: 50`), so the apply stage's conflict partitioning has to
-/// serialize real dependency chains — and the engine must still agree with
-/// itself: zero root mismatches, and a receipt histogram that accounts for
-/// every executed transaction:
+/// (`conflict_pct: 50`), so consecutive operations form real dependency
+/// chains — and the engine must still agree with itself: zero root
+/// mismatches, and a receipt histogram that accounts for every executed
+/// transaction:
 ///
 /// ```
 /// use fireledger_runtime::prelude::*;

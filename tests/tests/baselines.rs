@@ -1,5 +1,5 @@
-//! Integration tests of the baseline protocols (PBFT, HotStuff, BFT-SMaRt)
-//! and head-to-head sanity checks of the comparison harness — everything
+//! Integration tests of the baseline protocols (HotStuff, BFT-SMaRt) and
+//! head-to-head sanity checks of the comparison harness — everything
 //! assembled through the unified `ClusterBuilder`.
 
 use fireledger_integration_tests::*;
@@ -32,17 +32,6 @@ fn bftsmart_agreement_across_cluster_sizes() {
             SimConfig::ideal(),
             builder::<BftSmartNode>(n).build().unwrap(),
         );
-        sim.run_for(Duration::from_millis(600));
-        let nodes: Vec<u32> = (0..n as u32).collect();
-        assert_delivery_agreement(&sim, &nodes);
-        assert!(sim.deliveries(NodeId(0)).len() > 3, "n={n}");
-    }
-}
-
-#[test]
-fn pbft_agreement_across_cluster_sizes() {
-    for n in [4usize, 7] {
-        let mut sim = Simulation::new(SimConfig::ideal(), builder::<PbftNode>(n).build().unwrap());
         sim.run_for(Duration::from_millis(600));
         let nodes: Vec<u32> = (0..n as u32).collect();
         assert_delivery_agreement(&sim, &nodes);

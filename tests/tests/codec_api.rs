@@ -1,6 +1,6 @@
 //! Contract tests for the `WireCodec` size-hint / buffer-reuse API.
 //!
-//! Every protocol message of all five protocols must satisfy, for every
+//! Every protocol message of all four protocols must satisfy, for every
 //! variant:
 //!
 //! * `encoded_len()` returns exactly the number of bytes `encode_to`

@@ -2,15 +2,14 @@
 //! cross-runtime state-root identity.
 //!
 //! Three layers, one claim — execution is a *pure function of the committed
-//! ledger*, independent of parallelism width, pipeline scheduling, restarts,
-//! and the runtime that delivered the blocks:
+//! ledger*, independent of pipeline scheduling, restarts, and the runtime
+//! that delivered the blocks:
 //!
-//! * **Differential** — the pipelined engine ([`ExecShared`] over the
-//!   conflict-partitioned apply) against the naive serial reference
+//! * **Differential** — the pipelined engine ([`ExecShared`], executing
+//!   inline and on its stage thread) against the naive serial reference
 //!   ([`SerialExecutor`]): bit-identical state roots after *every* block and
-//!   bit-identical receipts for every transaction, at widths 1, 2 and 4.
-//!   The default run covers a few hundred randomized blocks; the `--ignored`
-//!   companion grinds 10 000.
+//!   the same receipt histogram. The default run covers a few hundred
+//!   randomized blocks; the `--ignored` companion grinds 10 000.
 //! * **Property ×24** — randomized adversarial op streams (duplicate
 //!   account creation, zero-amount transfers, nonce gaps, hot-key
 //!   collisions, malformed and opaque payloads): replaying the same
@@ -48,12 +47,11 @@ fn pool() -> CryptoPool {
     CryptoPool::inline(Arc::new(SimKeyStore::generate(4, 0)))
 }
 
-fn exec_at_width(width: usize) -> ExecShared {
-    let cfg = ExecConfig {
-        apply_width: width,
-        ..ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE)
-    };
-    ExecShared::new(&cfg, pool())
+fn genesis_exec() -> ExecShared {
+    ExecShared::new(
+        &ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE),
+        pool(),
+    )
 }
 
 fn block(round: u64, txs: Vec<Transaction>) -> Block {
@@ -183,43 +181,43 @@ fn random_ledger(seed: u64, blocks: usize, max_txs: u64) -> Vec<Vec<Transaction>
 // ---------------------------------------------------------------------------
 
 /// Runs `blocks` randomized blocks through the serial reference once, then
-/// through the full pipelined engine at every width — demanding bit-equal
-/// receipts per transaction and bit-equal roots after every single block.
+/// through the full pipelined engine (queue + lagged roots + incremental
+/// root), executing inline and on its stage thread — demanding bit-equal
+/// roots after every single block and the reference's receipt histogram.
 fn differential(blocks: usize, seed: u64) {
     let ledger = random_ledger(seed, blocks, 64);
-    // The specification: strictly serial execution, sequential merkle root.
+    // The specification: strictly serial execution, from-scratch root.
     let mut serial = SerialExecutor::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE);
-    let mut expected: Vec<(Vec<Receipt>, Hash)> = Vec::with_capacity(ledger.len());
+    let mut receipts = [0u64; Receipt::KINDS];
+    let mut roots: Vec<Hash> = Vec::with_capacity(ledger.len());
     for txs in &ledger {
-        let receipts = serial.execute_block(txs);
-        expected.push((receipts, serial.root()));
+        for receipt in serial.execute_block(txs) {
+            receipts[receipt.kind_index()] += 1;
+        }
+        roots.push(serial.root());
     }
-    for width in [1usize, 2, 4] {
-        // Receipt differential: the conflict-partitioned apply at this width.
-        let mut state = StateMachine::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE);
-        // Root differential: the full shared pipeline (queue + lagged roots).
-        let exec = exec_at_width(width);
+    for staged in [false, true] {
+        let exec = genesis_exec();
+        let stage = staged.then(|| fireledger_exec::spawn_stage(&exec));
         for (round, txs) in ledger.iter().enumerate() {
-            let receipts = execute_block(&mut state, txs, width);
-            assert_eq!(
-                receipts, expected[round].0,
-                "receipts diverged from serial reference: block {round}, width {width}"
-            );
             exec.enqueue(round as u64, &block(round as u64, txs.clone()));
             // Every root, not just the last: a transient divergence that
             // happened to cancel out later must still fail.
             assert_eq!(
                 exec.prefix_root(Some(round as u64)),
-                Some(expected[round].1),
-                "state root diverged from serial reference: block {round}, width {width}"
+                Some(roots[round]),
+                "state root diverged from serial reference: block {round}, staged {staged}"
             );
         }
+        drop(stage);
+        exec.finish();
         let stats = exec.stats();
         assert_eq!(stats.executed_blocks, ledger.len() as u64);
         assert_eq!(
             stats.executed_txs,
             ledger.iter().map(|b| b.len() as u64).sum::<u64>()
         );
+        assert_eq!(stats.receipts, receipts, "staged {staged}");
     }
 }
 
@@ -228,7 +226,7 @@ fn pipelined_execution_matches_serial_reference_at_widths_1_2_4() {
     differential(250, 0xD1FF);
 }
 
-/// The full-depth grind: 10 000 randomized blocks per width. Run with
+/// The full-depth grind: 10 000 randomized blocks. Run with
 /// `cargo test -p fireledger-integration-tests -- --ignored exec_matrix`.
 #[test]
 #[ignore = "10k-block differential grind; the smoke variant runs by default"]
@@ -242,11 +240,11 @@ fn stage_thread_execution_matches_inline_execution() {
     // simulator drains inline on enqueue. Same ledger, same root — the
     // scheduling seam must be invisible in the state.
     let ledger = random_ledger(0x57A6E, 120, 48);
-    let inline = exec_at_width(2);
+    let inline = genesis_exec();
     for (round, txs) in ledger.iter().enumerate() {
         inline.enqueue(round as u64, &block(round as u64, txs.clone()));
     }
-    let staged = exec_at_width(2);
+    let staged = genesis_exec();
     {
         let _stage = fireledger_exec::spawn_stage(&staged);
         for (round, txs) in ledger.iter().enumerate() {
@@ -334,28 +332,22 @@ fn state_root_is_independent_of_block_order_and_delete_detours() {
     let expected = serial.root();
     assert_ne!(expected, Hash([0u8; 32]));
 
-    for width in [1usize, 2, 4] {
-        let cfg = ExecConfig {
-            apply_width: width,
-            ..ExecConfig::default()
-        };
-        let forward = ExecShared::new(&cfg, pool());
-        let backward = ExecShared::new(&cfg, pool());
-        let mut round = 0u64;
-        for txs in &blocks {
-            forward.enqueue(round, &block(round, txs.clone()));
-            round += 1;
-        }
-        round = 0;
-        for txs in blocks.iter().rev() {
-            backward.enqueue(round, &block(round, txs.clone()));
-            round += 1;
-            backward.enqueue(round, &block(round, detour.clone()));
-            round += 1;
-        }
-        assert_eq!(forward.latest_root(), expected, "width {width}");
-        assert_eq!(backward.latest_root(), expected, "width {width}");
+    let forward = ExecShared::new(&ExecConfig::default(), pool());
+    let backward = ExecShared::new(&ExecConfig::default(), pool());
+    let mut round = 0u64;
+    for txs in &blocks {
+        forward.enqueue(round, &block(round, txs.clone()));
+        round += 1;
     }
+    round = 0;
+    for txs in blocks.iter().rev() {
+        backward.enqueue(round, &block(round, txs.clone()));
+        round += 1;
+        backward.enqueue(round, &block(round, detour.clone()));
+        round += 1;
+    }
+    assert_eq!(forward.latest_root(), expected);
+    assert_eq!(backward.latest_root(), expected);
 }
 
 #[test]
@@ -370,7 +362,7 @@ fn a_cloned_state_diverges_independently_of_its_source() {
     let mut source = StateMachine::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE);
     let (shared, tail) = ledger.split_at(20);
     for txs in shared {
-        execute_block(&mut source, txs, 2);
+        execute_block(&mut source, txs, 1);
         root(&source);
     }
     // The clone carries the source's digest cache; from here on each side
@@ -379,14 +371,14 @@ fn a_cloned_state_diverges_independently_of_its_source() {
     let fork_root = root(&source);
     assert_eq!(root(&clone), fork_root);
     for txs in tail {
-        execute_block(&mut clone, txs, 2);
+        execute_block(&mut clone, txs, 1);
         root(&clone);
         assert_eq!(root(&source), fork_root, "the source moved with its clone");
     }
     assert_ne!(root(&clone), fork_root);
     let clone_root = root(&clone);
     for txs in tail.iter().rev() {
-        execute_block(&mut source, txs, 2);
+        execute_block(&mut source, txs, 1);
         root(&source);
         assert_eq!(root(&clone), clone_root, "the clone moved with its source");
     }
@@ -409,7 +401,7 @@ fn store_dir(tag: &str) -> PathBuf {
 }
 
 fn replay_root(ledger: &[Vec<Transaction>]) -> Hash {
-    let exec = exec_at_width(2);
+    let exec = genesis_exec();
     for (round, txs) in ledger.iter().enumerate() {
         exec.enqueue(round as u64, &block(round as u64, txs.clone()));
     }
@@ -445,7 +437,7 @@ fn replaying_the_same_committed_ledger_always_yields_the_same_root() {
 
         // Property 2: an in-place reset (the restart-from-disk path inside a
         // live node) replays to the same root and counts the reset.
-        let exec = exec_at_width(2);
+        let exec = genesis_exec();
         for (round, txs) in ledger.iter().enumerate() {
             exec.enqueue(round as u64, &block(round as u64, txs.clone()));
         }
@@ -479,7 +471,7 @@ fn replaying_the_same_committed_ledger_always_yields_the_same_root() {
         let (_store, recovered) =
             NodeStore::open(&dir, StorePolicy::Always).expect("reopen after kill");
         assert_eq!(recovered.blocks.len(), ledger.len(), "seed {seed}");
-        let exec = exec_at_width(2);
+        let exec = genesis_exec();
         for (round, (_kind, payload)) in recovered.blocks.iter().enumerate() {
             let block_from_disk = StoredBlock::decode(payload).expect("decode stored block");
             assert_eq!(block_from_disk.txs, ledger[round]);
@@ -526,7 +518,7 @@ fn torn_tail_recovery_replays_to_the_root_of_the_valid_prefix() {
         for txs in &ledger[..prefix] {
             serial.execute_block(txs);
         }
-        let exec = exec_at_width(4);
+        let exec = genesis_exec();
         for (round, (_kind, payload)) in recovered.blocks.iter().enumerate() {
             let from_disk = StoredBlock::decode(payload).expect("decode");
             exec.enqueue(round as u64, &block(round as u64, from_disk.txs.clone()));
@@ -821,4 +813,78 @@ fn flo_state_root_identity_survives_crash_recover() {
 #[test]
 fn worker_state_root_identity_survives_crash_recover() {
     assert_crash_recover_roots::<Worker>("worker/crash-recover", 1);
+}
+
+// ---------------------------------------------------------------------------
+// Liveness after crash-recover: the paused node must execute again.
+// ---------------------------------------------------------------------------
+
+/// Under the crash-recover plan of the identity matrix, node 3 must execute
+/// past the round it had reached at the crash, on every worker stream. That
+/// round is at most the last round of node 0's ledger that follows the
+/// fault-free proposer rotation, which node 3's first missed proposal
+/// breaks. Prints each worker's shared executed prefix (the newest round
+/// every node executed) beside every node's executed round.
+fn assert_crashed_node_executes_again<P: ClusterProtocol, R: Runtime>(
+    runtime: &R,
+    protocol: &str,
+    workers: usize,
+) {
+    let plan =
+        catalog::crash_recover_last(4, Duration::from_millis(250), Duration::from_millis(500));
+    let builder = ClusterBuilder::<P>::new(matrix_params(workers))
+        .with_seed(7)
+        .with_execution(ExecConfig::with_genesis(GENESIS_ACCOUNTS, GENESIS_BALANCE));
+    let (_, deliveries) = runtime
+        .run_full(&builder, &matrix_scenario("exec-liveness", Some(plan)))
+        .unwrap_or_else(|e| panic!("{protocol}: liveness run failed on {}: {e}", runtime.name()));
+    let shards = builder.exec_shards().expect("execution was enabled");
+    let mut stalled = Vec::new();
+    for w in 0..workers {
+        let ledger = worker_ledger(&deliveries, w);
+        let crash = ledger[..rotation_prefix(&ledger, 4)]
+            .last()
+            .map(|d| d.round.0);
+        let executed: Vec<Option<u64>> = shards
+            .iter()
+            .map(|node| node[w].stats().last_round)
+            .collect();
+        let shared = executed.iter().min().copied().flatten();
+        println!(
+            "{protocol} on {}: worker {w} shared executed prefix {shared:?}, rotation held through round {crash:?}, executed rounds per node {executed:?}",
+            runtime.name()
+        );
+        if executed[3] <= crash {
+            stalled.push(w);
+        }
+    }
+    assert!(
+        stalled.is_empty(),
+        "{protocol} on {}: node 3 never executed past its crash round on workers {stalled:?}",
+        runtime.name()
+    );
+}
+
+#[test]
+#[ignore = "post-crash liveness; loop it in release to measure its pass rate"]
+fn flo_crashed_node_executes_past_its_crash_round_on_sim() {
+    assert_crashed_node_executes_again::<FloCluster, _>(&Simulator, "flo/crash-recover", 2);
+}
+
+#[test]
+#[ignore = "post-crash liveness; loop it in release to measure its pass rate"]
+fn flo_crashed_node_executes_past_its_crash_round_on_tcp() {
+    assert_crashed_node_executes_again::<FloCluster, _>(&Tcp, "flo/crash-recover", 2);
+}
+
+#[test]
+#[ignore = "post-crash liveness; loop it in release to measure its pass rate"]
+fn worker_crashed_node_executes_past_its_crash_round_on_sim() {
+    assert_crashed_node_executes_again::<Worker, _>(&Simulator, "worker/crash-recover", 1);
+}
+
+#[test]
+#[ignore = "post-crash liveness; loop it in release to measure its pass rate"]
+fn worker_crashed_node_executes_past_its_crash_round_on_tcp() {
+    assert_crashed_node_executes_again::<Worker, _>(&Tcp, "worker/crash-recover", 1);
 }

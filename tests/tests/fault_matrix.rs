@@ -309,7 +309,6 @@ fn baseline_under_plan<P: ClusterProtocol>(name: &str) {
 
 #[test]
 fn baselines_survive_network_adversity_too() {
-    baseline_under_plan::<PbftNode>("pbft");
     baseline_under_plan::<HotStuffNode>("hotstuff");
     baseline_under_plan::<BftSmartNode>("bft-smart");
     baseline_under_plan::<Worker>("wrb-obbc");

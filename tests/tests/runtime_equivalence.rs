@@ -3,7 +3,7 @@
 //! The same `ClusterBuilder` + `Scenario` pair is executed on the
 //! deterministic simulator and on the TCP runtime (every message serialized
 //! through the binary wire format of `docs/WIRE_FORMAT.md`, framed, written
-//! to a real localhost socket, and decoded on the far side). For all five
+//! to a real localhost socket, and decoded on the far side). For all four
 //! protocols of the paper's matrix, every node must deliver the *same
 //! ledger* on both runtimes — prefix equality of the delivered block
 //! sequences, since the runtimes cover different amounts of protocol time in
@@ -58,11 +58,6 @@ fn flo_delivers_the_same_ledger_on_all_three_runtimes() {
 #[test]
 fn wrb_obbc_delivers_the_same_ledger_on_all_three_runtimes() {
     assert_identical_ledgers::<Worker>("wrb-obbc");
-}
-
-#[test]
-fn pbft_delivers_the_same_ledger_on_all_three_runtimes() {
-    assert_identical_ledgers::<PbftNode>("pbft");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The acceptance test of the unified API: **one** `Scenario` value drives
-//! all five protocols of the paper's matrix through `ClusterBuilder`, on both
+//! all four protocols of the paper's matrix through `ClusterBuilder`, on both
 //! the deterministic simulator and the real-time socket runtime, and every
 //! run returns a `RunReport` with the identical schema.
 
@@ -23,9 +23,6 @@ fn run_matrix<R: Runtime>(runtime: &R, scenario: &Scenario) -> Vec<RunReport> {
             .run(&ClusterBuilder::<Worker>::new(params.clone()), scenario)
             .unwrap(),
         runtime
-            .run(&ClusterBuilder::<PbftNode>::new(params.clone()), scenario)
-            .unwrap(),
-        runtime
             .run(
                 &ClusterBuilder::<HotStuffNode>::new(params.clone()),
                 scenario,
@@ -44,7 +41,7 @@ fn one_scenario_drives_all_five_protocols_on_both_runtimes() {
     let tcp_reports = run_matrix(&Tcp, &scenario);
 
     let names: Vec<&str> = sim_reports.iter().map(|r| r.protocol.as_str()).collect();
-    assert_eq!(names, ["flo", "wrb-obbc", "pbft", "hotstuff", "bft-smart"]);
+    assert_eq!(names, ["flo", "wrb-obbc", "hotstuff", "bft-smart"]);
 
     // Every cell of the matrix made progress...
     for r in sim_reports.iter().chain(tcp_reports.iter()) {
