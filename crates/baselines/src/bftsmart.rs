@@ -18,7 +18,7 @@ use fireledger_types::codec::{CodecError, Reader, WireCodec};
 use fireledger_types::runtime::CpuCharge;
 use fireledger_types::{
     Block, BlockHeader, Delivery, NodeId, Observation, Outbox, Protocol, ProtocolParams, Round,
-    TimerId, Transaction, WireSize, WorkerId,
+    TimerId, Transaction, WorkerId,
 };
 use std::time::Duration;
 
@@ -31,12 +31,6 @@ pub struct OrderedBatch {
     pub seq: u64,
     /// The transactions.
     pub txs: Vec<Transaction>,
-}
-
-impl WireSize for OrderedBatch {
-    fn wire_size(&self) -> usize {
-        4 + 8 + self.txs.wire_size()
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §7.3:

@@ -18,15 +18,16 @@
 //! The CPU accounting mirrors the paper's argument for FireLedger's
 //! advantage: every replica signs every block here, whereas FireLedger's
 //! optimistic path needs only the proposer's signature. Signature aggregation
-//! keeps HotStuff's *communication* linear, which the wire sizes reflect (a
-//! QC costs one aggregate signature, not `n`).
+//! keeps HotStuff's *communication* linear: a QC is constant-size on the
+//! wire. It travels as its view and block hash only (WIRE_FORMAT.md §7.1);
+//! the vote signatures behind it are charged as CPU, not as bytes.
 
 use fireledger_crypto::{merkle_root, SharedCrypto};
 use fireledger_types::codec::{CodecError, Reader, WireCodec};
 use fireledger_types::runtime::CpuCharge;
 use fireledger_types::{
     Block, BlockHeader, Delivery, Hash, NodeId, Observation, Outbox, Protocol, ProtocolParams,
-    Round, SignedHeader, TimerId, Transaction, WireSize, WorkerId,
+    Round, SignedHeader, TimerId, Transaction, WorkerId,
 };
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -40,13 +41,6 @@ pub struct QuorumCert {
     pub view: u64,
     /// Hash of the certified block header.
     pub block_hash: Hash,
-}
-
-impl WireSize for QuorumCert {
-    fn wire_size(&self) -> usize {
-        // view + hash + one aggregated signature.
-        8 + 32 + 64
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §7.1: `view u64 | block_hash [32]B`.
@@ -101,22 +95,6 @@ pub enum HotStuffMsg {
         /// The sender's highest QC.
         high_qc: QuorumCert,
     },
-}
-
-impl WireSize for HotStuffMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            HotStuffMsg::Proposal {
-                header,
-                txs,
-                justify,
-                ..
-            } => 8 + header.wire_size() + txs.wire_size() + justify.wire_size(),
-            // A vote carries a partial signature.
-            HotStuffMsg::Vote { .. } => 8 + 32 + 64,
-            HotStuffMsg::NewView { high_qc, .. } => 8 + high_qc.wire_size(),
-        }
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §7.2: a discriminant byte (`0x01` Proposal,
@@ -698,7 +676,7 @@ mod tests {
             view: 1,
             block_hash: Hash::default(),
         };
-        assert!(small.wire_size() < 200);
+        assert!(small.encoded_len() < 200);
         let txs: Vec<Transaction> = (0..10).map(|i| Transaction::zeroed(0, i, 512)).collect();
         let header = BlockHeader::new(
             Round(1),
@@ -718,7 +696,7 @@ mod tests {
                 block_hash: Hash::default(),
             },
         };
-        assert!(prop.wire_size() > 5120);
+        assert!(prop.encoded_len() > 5120);
     }
 }
 

@@ -22,7 +22,7 @@
 
 use fireledger_types::codec::{CodecError, Reader, WireCodec};
 use fireledger_types::runtime::CpuCharge;
-use fireledger_types::{ClusterConfig, NodeId, Outbox, TimerId, WireSize};
+use fireledger_types::{ClusterConfig, NodeId, Outbox, TimerId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt::Debug;
@@ -114,32 +114,6 @@ pub enum PbftMsg<V> {
         /// Re-proposed sequence/value pairs.
         preprepares: Vec<(u64, V)>,
     },
-}
-
-impl<V: WireSize> WireSize for PbftMsg<V> {
-    fn wire_size(&self) -> usize {
-        match self {
-            PbftMsg::Request { value } => 1 + value.wire_size(),
-            PbftMsg::PrePrepare { value, .. } => 1 + 8 + 8 + value.wire_size() + 64,
-            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } => 1 + 8 + 8 + 8 + 32,
-            PbftMsg::ViewChange { prepared, .. } => {
-                1 + 8
-                    + prepared
-                        .iter()
-                        .map(|(_, v)| 8 + v.wire_size())
-                        .sum::<usize>()
-                    + 64
-            }
-            PbftMsg::NewView { preprepares, .. } => {
-                1 + 8
-                    + preprepares
-                        .iter()
-                        .map(|(_, v)| 8 + v.wire_size())
-                        .sum::<usize>()
-                    + 64
-            }
-        }
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §5.2: a discriminant byte (`0x01` Request,
@@ -288,7 +262,7 @@ fn digest_of<V: Hash>(value: &V) -> u64 {
 
 impl<V> Pbft<V>
 where
-    V: Clone + Debug + Eq + Hash + WireSize,
+    V: Clone + Debug + Eq + Hash + WireCodec,
 {
     /// Creates the PBFT endpoint of node `me`.
     pub fn new(me: NodeId, config: PbftConfig) -> Self {
@@ -368,7 +342,7 @@ where
             value: value.clone(),
         };
         // Leader signs the pre-prepare.
-        out.cpu(CpuCharge::sign(value.wire_size() as u64));
+        out.cpu(CpuCharge::sign(value.encoded_len() as u64));
         out.broadcast(msg.clone());
         self.handle_preprepare(self.me, self.view, seq, value, out)
     }
@@ -386,7 +360,7 @@ where
         }
         if from != self.me {
             // Verify the leader's signature on the pre-prepare.
-            out.cpu(CpuCharge::verify(value.wire_size() as u64));
+            out.cpu(CpuCharge::verify(value.encoded_len() as u64));
         }
         let digest = digest_of(&value);
         let slot = self.slots.entry(seq).or_default();
@@ -945,22 +919,26 @@ mod tests {
 
     #[test]
     fn wire_sizes_reflect_payloads() {
+        // A pre-prepare carries the value; prepares and commits carry only
+        // its digest, so their size is independent of the payload.
+        let value = vec![7u64; 16];
         let pp = PbftMsg::PrePrepare {
             view: 0,
             seq: 0,
-            value: 7u64,
+            value: value.clone(),
         };
-        let p: PbftMsg<u64> = PbftMsg::Prepare {
+        let p: PbftMsg<Vec<u64>> = PbftMsg::Prepare {
             view: 0,
             seq: 0,
             digest: 1,
         };
-        assert!(pp.wire_size() > p.wire_size());
+        assert_eq!(pp.encoded_len(), 1 + 8 + 8 + value.encoded_len());
+        assert_eq!(p.encoded_len(), 1 + 8 + 8 + 8);
         let vc = PbftMsg::ViewChange {
             new_view: 1,
             prepared: vec![(0, 7u64), (1, 8u64)],
         };
-        assert!(vc.wire_size() > 2 * 8);
+        assert_eq!(vc.encoded_len(), 1 + 8 + 4 + 2 * (8 + 8));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! 4. on `2f+1` `Ready(v)`, a node delivers `v`.
 
 use fireledger_types::codec::{CodecError, Reader, WireCodec};
-use fireledger_types::{ClusterConfig, NodeId, Outbox, WireSize};
+use fireledger_types::{ClusterConfig, NodeId, Outbox};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -55,18 +55,6 @@ pub enum RbMsg<V> {
         /// The payload the sender is ready to deliver.
         value: V,
     },
-}
-
-impl<V: WireSize> WireSize for RbMsg<V> {
-    fn wire_size(&self) -> usize {
-        let payload = match self {
-            RbMsg::Init { value, .. } | RbMsg::Echo { value, .. } | RbMsg::Ready { value, .. } => {
-                value.wire_size()
-            }
-        };
-        // origin + tag + variant tag + payload
-        4 + 8 + 1 + payload
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §5.1: a discriminant byte (`0x01` Init, `0x02`
@@ -484,7 +472,8 @@ mod tests {
             tag: 0,
             value: 7u64,
         };
-        assert_eq!(m.wire_size(), 4 + 8 + 1 + 8);
+        // variant tag + origin + tag + payload
+        assert_eq!(m.encoded_len(), 1 + 4 + 8 + 8);
     }
 
     #[test]

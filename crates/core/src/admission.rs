@@ -263,12 +263,6 @@ impl IngressGate {
         self.inner.lock().expect("ingress gate").inflight.len()
     }
 
-    /// Ids currently held for duplicate suppression — bounded by
-    /// `dedup_window + capacity` (see [`AdmissionConfig::dedup_window`]).
-    pub fn dedup_entries(&self) -> usize {
-        self.inner.lock().expect("ingress gate").seen.len()
-    }
-
     fn lane_limit(&self, lane: Lane) -> usize {
         let pct = |p: u32| (self.cfg.capacity.saturating_mul(p as usize)) / 100;
         match lane {
@@ -461,6 +455,14 @@ impl IngressGate {
 mod tests {
     use super::*;
     use crate::txpool::TxPool;
+
+    impl IngressGate {
+        /// Ids currently held for duplicate suppression — bounded by
+        /// `dedup_window + capacity` (see [`AdmissionConfig::dedup_window`]).
+        fn dedup_entries(&self) -> usize {
+            self.inner.lock().expect("ingress gate").seen.len()
+        }
+    }
 
     fn gate(cfg: AdmissionConfig) -> IngressGate {
         IngressGate::new(cfg)

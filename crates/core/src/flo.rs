@@ -208,11 +208,6 @@ impl FloNode {
         &self.workers[w]
     }
 
-    /// Total blocks released to the application so far.
-    pub fn released_blocks(&self) -> u64 {
-        self.released
-    }
-
     /// The protocol parameters this node runs with.
     pub fn params(&self) -> &ProtocolParams {
         &self.params
@@ -403,6 +398,13 @@ mod tests {
     use fireledger_types::Round;
     use std::sync::Arc;
     use std::time::Duration;
+
+    impl FloNode {
+        /// Total blocks released to the application so far.
+        fn released_blocks(&self) -> u64 {
+            self.released
+        }
+    }
 
     fn flo_cluster(n: usize, workers: usize, batch: usize) -> Vec<FloNode> {
         let params = ProtocolParams::new(n)

@@ -20,9 +20,7 @@
 
 use fireledger_bft::{PbftMsg, RbMsg};
 use fireledger_types::codec::{CodecError, Reader, WireCodec};
-use fireledger_types::{
-    Hash, NodeId, Round, SignedHeader, SyncMsg, Transaction, WireSize, WorkerId,
-};
+use fireledger_types::{Hash, NodeId, Round, SignedHeader, SyncMsg, Transaction, WorkerId};
 
 /// A proof that some proposer behaved inconsistently: a signed header that
 /// does not extend the prover's chain, together with the prover's signed
@@ -35,12 +33,6 @@ pub struct PanicProof {
     pub conflicting: SignedHeader,
     /// The prover's own header for the preceding round (None at round 0).
     pub local_parent: Option<SignedHeader>,
-}
-
-impl WireSize for PanicProof {
-    fn wire_size(&self) -> usize {
-        8 + self.conflicting.wire_size() + self.local_parent.wire_size()
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §6.3:
@@ -93,15 +85,6 @@ pub enum ConsensusValue {
         /// empty for nodes that are too far behind.
         version: Vec<SignedHeader>,
     },
-}
-
-impl WireSize for ConsensusValue {
-    fn wire_size(&self) -> usize {
-        match self {
-            ConsensusValue::FallbackVote { evidence, .. } => 8 + 4 + 4 + 1 + evidence.wire_size(),
-            ConsensusValue::RecoveryVersion { version, .. } => 8 + 4 + version.wire_size(),
-        }
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §6.4: a discriminant byte (`0x01` FallbackVote,
@@ -229,23 +212,6 @@ pub enum WorkerMsg {
     Sync(SyncMsg),
 }
 
-impl WireSize for WorkerMsg {
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            WorkerMsg::BlockData { txs, .. } => 32 + txs.wire_size(),
-            WorkerMsg::Header { header } => header.wire_size(),
-            WorkerMsg::Vote { piggyback, .. } => 8 + 4 + 1 + piggyback.wire_size(),
-            WorkerMsg::PullHeader { .. } => 8 + 4,
-            WorkerMsg::PullHeaderReply { header } => header.wire_size(),
-            WorkerMsg::PullBlock { .. } => 32,
-            WorkerMsg::PullBlockReply { txs, .. } => 32 + txs.wire_size(),
-            WorkerMsg::Panic(m) => m.wire_size(),
-            WorkerMsg::Consensus(m) => m.wire_size(),
-            WorkerMsg::Sync(m) => m.wire_size(),
-        }
-    }
-}
-
 /// A worker message tagged with its FLO worker instance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FloMsg {
@@ -253,12 +219,6 @@ pub struct FloMsg {
     pub worker: WorkerId,
     /// The worker-level message.
     pub inner: WorkerMsg,
-}
-
-impl WireSize for FloMsg {
-    fn wire_size(&self) -> usize {
-        4 + self.inner.wire_size()
-    }
 }
 
 /// Layout per WIRE_FORMAT.md §6.1: a discriminant byte (`0x01` BlockData
@@ -427,7 +387,7 @@ mod tests {
             piggyback: None,
         };
         assert!(
-            vote.wire_size() < 20,
+            vote.encoded_len() < 20,
             "optimistic votes must stay near a single bit of protocol data"
         );
     }
@@ -447,8 +407,8 @@ mod tests {
             piggyback: Some(signed_header()),
         };
         assert_eq!(
-            piggy.wire_size() - plain.wire_size(),
-            signed_header().wire_size()
+            piggy.encoded_len() - plain.encoded_len(),
+            signed_header().encoded_len()
         );
     }
 
@@ -459,11 +419,11 @@ mod tests {
             payload_hash: GENESIS_HASH,
             txs,
         };
-        assert!(data.wire_size() > 100 * 512);
+        assert!(data.encoded_len() > 100 * 512);
         let header = WorkerMsg::Header {
             header: signed_header(),
         };
-        assert!(data.wire_size() > 100 * header.wire_size());
+        assert!(data.encoded_len() > 100 * header.encoded_len());
     }
 
     #[test]
@@ -480,8 +440,8 @@ mod tests {
             from: NodeId(1),
             version: vec![signed_header(); 3],
         };
-        assert!(version.wire_size() > vote.wire_size());
-        assert!(vote.wire_size() > 100);
+        assert!(version.encoded_len() > vote.encoded_len());
+        assert!(vote.encoded_len() > 100);
     }
 
     #[test]
@@ -491,13 +451,13 @@ mod tests {
             conflicting: signed_header(),
             local_parent: Some(signed_header()),
         };
-        assert!(proof.wire_size() > 2 * signed_header().wire_size());
+        assert!(proof.encoded_len() > 2 * signed_header().encoded_len());
         let msg = WorkerMsg::Panic(RbMsg::Init {
             origin: NodeId(0),
             tag: 0,
             value: proof,
         });
-        assert!(msg.wire_size() > 300);
+        assert!(msg.encoded_len() > 300);
     }
 
     #[test]
@@ -505,12 +465,12 @@ mod tests {
         let inner = WorkerMsg::PullBlock {
             payload_hash: GENESIS_HASH,
         };
-        let inner_size = inner.wire_size();
+        let inner_size = inner.encoded_len();
         let flo = FloMsg {
             worker: WorkerId(3),
             inner,
         };
-        assert_eq!(flo.wire_size(), inner_size + 4);
+        assert_eq!(flo.encoded_len(), inner_size + 4);
     }
 
     /// One value of every [`WorkerMsg`] variant, exercising every nested

@@ -26,7 +26,6 @@ pub struct EmaTimer {
     /// correct proposer that is marginally slower than the average is not
     /// skipped.
     margin: f64,
-    misses: u32,
 }
 
 impl EmaTimer {
@@ -40,7 +39,6 @@ impl EmaTimer {
             current: base,
             alpha: 2.0 / (window + 1.0),
             margin: 4.0,
-            misses: 0,
         }
     }
 
@@ -49,16 +47,10 @@ impl EmaTimer {
         self.current
     }
 
-    /// Number of consecutive missed deliveries.
-    pub fn consecutive_misses(&self) -> u32 {
-        self.misses
-    }
-
     /// Records a successful delivery whose message delay was `delay`; the
     /// timeout is adjusted towards `margin × EMA(delay)` (Algorithm 1,
     /// line 19 "adjust timer").
     pub fn record_delivery(&mut self, delay: Duration) {
-        self.misses = 0;
         let observed = delay.as_secs_f64() * self.margin;
         let current = self.current.as_secs_f64();
         let next = self.alpha * observed + (1.0 - self.alpha) * current;
@@ -69,7 +61,6 @@ impl EmaTimer {
     /// message arrived); the timeout doubles, up to the maximum (Algorithm 1,
     /// line 14 "increase timer").
     pub fn record_miss(&mut self) {
-        self.misses += 1;
         let doubled = self.current.saturating_mul(2);
         self.current = clamp_duration(doubled, self.base, self.max);
     }
@@ -78,7 +69,6 @@ impl EmaTimer {
     /// is invalidated and after recovery completes).
     pub fn reset(&mut self) {
         self.current = self.base;
-        self.misses = 0;
     }
 }
 
@@ -112,7 +102,6 @@ mod tests {
         assert_eq!(t.current(), Duration::from_millis(100));
         t.record_miss();
         assert_eq!(t.current(), Duration::from_millis(200));
-        assert_eq!(t.consecutive_misses(), 2);
         for _ in 0..20 {
             t.record_miss();
         }
@@ -135,7 +124,6 @@ mod tests {
         assert!(t.current() < Duration::from_millis(60));
         // ... but never below the base.
         assert!(t.current() >= Duration::from_millis(50));
-        assert_eq!(t.consecutive_misses(), 0);
     }
 
     #[test]
@@ -156,7 +144,6 @@ mod tests {
         t.record_delivery(Duration::from_millis(500));
         t.reset();
         assert_eq!(t.current(), Duration::from_millis(50));
-        assert_eq!(t.consecutive_misses(), 0);
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl CostModel {
         self.hash_time(payload_bytes) + self.sign
     }
 
-    /// Time to verify a block signature over `payload_bytes`.
-    pub fn block_verify_time(&self, payload_bytes: u64) -> Duration {
-        self.hash_time(payload_bytes) + self.verify
-    }
-
     /// The single-core signature rate (signatures per second) for blocks of
     /// `payload_bytes` — the quantity plotted in Figure 5 (per worker).
     pub fn signature_rate(&self, payload_bytes: u64) -> f64 {

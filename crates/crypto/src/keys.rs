@@ -134,11 +134,6 @@ impl LamportKeyStore {
         self
     }
 
-    /// Returns the public key of `node`, if registered.
-    pub fn public_key(&self, node: NodeId) -> Option<&LamportPublicKey> {
-        self.keys.get(node.as_usize()).map(|k| &k.public)
-    }
-
     /// Wraps the store into a [`SharedCrypto`] handle.
     pub fn shared(self) -> SharedCrypto {
         Arc::new(self)
@@ -296,8 +291,6 @@ mod tests {
         check_provider(&store);
         assert_eq!(store.cluster_size(), 4);
         assert_eq!(store.scheme(), "lamport-ots-sha256");
-        assert!(store.public_key(NodeId(3)).is_some());
-        assert!(store.public_key(NodeId(4)).is_none());
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl StateMachine {
         self.trie.len(Namespace::Kv)
     }
 
-    /// The account stored under `id`, if any (test/inspection helper).
-    pub fn account_state(&self, id: u64) -> Option<Account> {
-        self.account(id)
-    }
-
     /// Iterates the accounts in id order.
     pub fn accounts(&self) -> impl Iterator<Item = (&u64, &Account)> {
         self.trie.entries().filter_map(|(id, value)| match value {
@@ -660,14 +655,14 @@ mod tests {
             Receipt::Applied
         );
         assert_eq!(
-            s.account_state(1),
+            s.account(1),
             Some(Account {
                 balance: 70,
                 nonce: 1
             })
         );
         assert_eq!(
-            s.account_state(2),
+            s.account(2),
             Some(Account {
                 balance: 30,
                 nonce: 0
@@ -733,7 +728,7 @@ mod tests {
             Receipt::Applied
         );
         assert_eq!(
-            s.account_state(0),
+            s.account(0),
             Some(Account {
                 balance: 50,
                 nonce: 1
@@ -749,7 +744,7 @@ mod tests {
             Receipt::Applied
         );
         assert_eq!(
-            s.account_state(0),
+            s.account(0),
             Some(Account {
                 balance: 50,
                 nonce: 2

@@ -42,7 +42,7 @@ use crate::node_loop::{run_node, DeliveryLog, Egress, NodeEvent, NodeFlags, Rebu
 use crate::reactor::{Conn, Reactor, TcpEngine, DEFAULT_REACTOR_THREADS};
 use crate::shim::{DelayLine, LinkShim};
 use crate::RealtimeCluster;
-use fireledger_types::codec::{FrameHeader, FRAME_HEADER_LEN};
+use fireledger_types::codec::{framed_len, FrameHeader, FRAME_HEADER_LEN};
 use fireledger_types::{FaultPlan, LinkDecision, NodeId, Protocol, WireCodec};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -59,19 +59,20 @@ use std::time::Instant;
 const MAX_BATCH_FRAMES: usize = 1024;
 
 /// Builds the complete frame (header + payload) for one message, shared
-/// across all outboxes of a broadcast. [`WireCodec::encoded_len`]
-/// sizes the buffer exactly (one right-sized allocation, no growth
-/// reallocations, no payload copy), but the header's length field is
-/// written from the bytes *actually encoded* — the size hint is purely
-/// advisory, so a drifted `encoded_len` impl can never desync the stream.
+/// across all outboxes of a broadcast. [`framed_len`] — the byte count the
+/// simulator charges — sizes the buffer exactly (one right-sized
+/// allocation, no growth reallocations, no payload copy), but the header's
+/// length field is written from the bytes *actually encoded* — the size
+/// hint is purely advisory, so a drifted `encoded_len` impl can never
+/// desync the stream.
 fn frame_of<M: WireCodec>(msg: &M) -> Arc<Vec<u8>> {
-    let hint = msg.encoded_len();
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + hint);
+    let hint = framed_len(msg);
+    let mut out = Vec::with_capacity(hint);
     out.resize(FRAME_HEADER_LEN, 0);
     msg.encode_to(&mut out);
     let len = out.len() - FRAME_HEADER_LEN;
     out[..FRAME_HEADER_LEN].copy_from_slice(&FrameHeader::new(len).encode());
-    debug_assert_eq!(len, hint, "encoded_len hint drifted from encode_to");
+    debug_assert_eq!(out.len(), hint, "encoded_len hint drifted from encode_to");
     Arc::new(out)
 }
 
@@ -372,6 +373,21 @@ mod tests {
     {
         RealtimeCluster::spawn_engine(nodes, faults, None, None, &[], TcpEngine)
             .expect("mesh setup")
+    }
+
+    #[test]
+    fn a_frame_is_framed_len_bytes_long() {
+        let tx = Transaction::zeroed(1, 2, 512);
+        let batch = vec![tx.clone(), Transaction::new(3, 4, vec![9u8; 7])];
+        for (frame, expected, payload) in [
+            (frame_of(&7u64), framed_len(&7u64), 7u64.encode()),
+            (frame_of(&tx), framed_len(&tx), tx.encode()),
+            (frame_of(&batch), framed_len(&batch), batch.encode()),
+        ] {
+            assert_eq!(frame.len(), expected);
+            assert_eq!(frame.len(), FRAME_HEADER_LEN + payload.len());
+            assert_eq!(&frame[FRAME_HEADER_LEN..], payload.as_slice());
+        }
     }
 
     fn delivery(round: u64, proposer: NodeId) -> Delivery {

@@ -15,9 +15,7 @@ use fireledger_baselines::{BftSmartNode, HotStuffNode};
 use fireledger_crypto::{CryptoPool, SharedCrypto, SimKeyStore};
 use fireledger_exec::{ExecConfig, ExecShared, ExecStage};
 use fireledger_store::{FsyncPolicy, NodeStore, RecoveredState};
-use fireledger_types::{
-    Error, NodeId, Protocol, ProtocolParams, Result, WireCodec, WireSize, WorkerId,
-};
+use fireledger_types::{Error, NodeId, Protocol, ProtocolParams, Result, WireCodec, WorkerId};
 use std::fmt;
 use std::marker::PhantomData;
 use std::path::PathBuf;
@@ -110,10 +108,7 @@ pub struct BuildContext {
 /// every `P: ClusterProtocol` bound implies them and generic code never
 /// restates them.
 pub trait ClusterProtocol:
-    Protocol<Msg: WireSize + WireCodec + Clone + Send + Sync + fmt::Debug + 'static>
-    + Sized
-    + Send
-    + 'static
+    Protocol<Msg: WireCodec + Clone + Send + Sync + fmt::Debug + 'static> + Sized + Send + 'static
 {
     /// Short machine-readable protocol name, used in [`crate::RunReport`]s.
     const NAME: &'static str;

@@ -346,8 +346,9 @@ pub struct RunReport {
     /// Messages sent by the measured nodes over the whole run. Unit:
     /// messages (count; 0 = unmeasured).
     pub msgs_sent: u64,
-    /// Bytes sent by the measured nodes over the whole run, per the
-    /// `WireSize` model. Unit: bytes (count; 0 = unmeasured).
+    /// Framed wire bytes sent by the measured nodes over the whole run: each
+    /// copy's frame header plus its encoded payload. Unit: bytes (count;
+    /// 0 = unmeasured).
     pub bytes_sent: u64,
     /// Signatures produced over the whole run. Unit: signatures (count;
     /// 0 = unmeasured).

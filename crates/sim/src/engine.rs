@@ -23,7 +23,7 @@ use crate::metrics::{Metrics, RunSummary};
 use crate::time::SimTime;
 use fireledger_crypto::CostModel;
 use fireledger_types::{
-    Action, Delivery, DetRng, NodeId, Outbox, Protocol, TimerId, Transaction, WireSize,
+    framed_len, Action, Delivery, DetRng, NodeId, Outbox, Protocol, TimerId, Transaction, WireCodec,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -162,7 +162,7 @@ pub struct Simulation<P: Protocol> {
 impl<P> Simulation<P>
 where
     P: Protocol,
-    P::Msg: WireSize,
+    P::Msg: WireCodec,
 {
     /// Creates a simulation over `nodes` with the no-fault adversary.
     pub fn new(config: SimConfig, nodes: Vec<P>) -> Self {
@@ -380,8 +380,8 @@ where
         }
     }
 
-    /// Charges one wire copy against the sender's NIC, samples the link
-    /// latency, applies `extra_delay`, optionally enforces per-link FIFO
+    /// Charges one wire copy — its framed size, the bytes the TCP runtime
+    /// writes for it — against the sender's NIC, samples the link latency, applies `extra_delay`, optionally enforces per-link FIFO
     /// order, and schedules the arrival.
     fn transmit(
         &mut self,
@@ -392,7 +392,7 @@ where
         extra_delay: Duration,
         fifo: bool,
     ) {
-        let size = msg.wire_size();
+        let size = framed_len(&msg);
         let departure = self.nic_free[from.as_usize()].max(ready);
         let tx_time = match self.config.bandwidth_bytes_per_sec {
             Some(bw) if bw > 0 => Duration::from_secs_f64(size as f64 / bw as f64),
@@ -521,7 +521,7 @@ where
 mod tests {
     use super::*;
     use fireledger_types::Observation;
-    use fireledger_types::{Round, WorkerId};
+    use fireledger_types::{CodecError, Reader, Round, WorkerId};
 
     /// A toy protocol: node 0 broadcasts a counter on start and whenever its
     /// timer fires; every node records what it received and echoes to the
@@ -536,9 +536,15 @@ mod tests {
 
     #[derive(Clone, Debug)]
     struct Num(u64);
-    impl WireSize for Num {
-        fn wire_size(&self) -> usize {
-            1000
+    impl WireCodec for Num {
+        fn encode_to(&self, out: &mut Vec<u8>) {
+            self.0.encode_to(out);
+        }
+        fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Num(r.u64()?))
+        }
+        fn encoded_len(&self) -> usize {
+            8
         }
     }
 
@@ -636,17 +642,20 @@ mod tests {
 
     #[test]
     fn bandwidth_limits_serialize_broadcasts() {
-        // 1000-byte messages over a 1 MB/s NIC → 1 ms per copy; broadcasting to
-        // 3 peers costs 3 ms of egress serialization, so the last arrival is
-        // later than with infinite bandwidth.
-        let slow = SimConfig::ideal().with_bandwidth(Some(1_000_000));
+        // Each copy costs its framed size on the sender's NIC: broadcasting
+        // 17-byte frames to 3 peers over a 1 kB/s NIC puts the first copy on
+        // the wire after 17 ms and the third only after 51 ms.
+        let slow = SimConfig::ideal().with_bandwidth(Some(1_000));
         let mut sim = Simulation::new(slow, echo_cluster(4, 1));
-        sim.run_for(Duration::from_millis(50));
+        sim.run_for(Duration::from_millis(40));
+        assert!(!sim.node(NodeId(1)).received.is_empty());
+        assert!(sim.node(NodeId(3)).received.is_empty());
+        sim.run_for(Duration::from_millis(60));
+        assert!(!sim.node(NodeId(3)).received.is_empty());
         let m = sim.metrics().node_counters();
         assert_eq!(m[0].msgs_sent, 3);
-        assert_eq!(m[0].bytes_sent, 3000);
-        // Echo replies arrive after ≥ 3 ms + 2 * latency.
-        assert!(sim.now() > SimTime::ZERO);
+        assert_eq!(framed_len(&Num(0)), 17);
+        assert_eq!(m[0].bytes_sent, 3 * 17);
     }
 
     #[test]
@@ -658,9 +667,13 @@ mod tests {
         }
         #[derive(Clone, Debug)]
         struct M;
-        impl WireSize for M {
-            fn wire_size(&self) -> usize {
-                10
+        impl WireCodec for M {
+            fn encode_to(&self, _out: &mut Vec<u8>) {}
+            fn decode_from(_r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(M)
+            }
+            fn encoded_len(&self) -> usize {
+                0
             }
         }
         impl Protocol for Cpu {

@@ -43,12 +43,6 @@ impl TxInjector {
         }
     }
 
-    /// Restricts injection to specific nodes.
-    pub fn with_targets(mut self, targets: Vec<NodeId>) -> Self {
-        self.targets = targets;
-        self
-    }
-
     /// Overrides the RNG seed used for payload generation.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -82,22 +76,21 @@ impl TxInjector {
     }
 }
 
-/// Generates a batch of `count` random transactions of `tx_size` bytes — a
-/// convenience used by tests, examples and the block-filling code path.
-pub fn random_batch(count: usize, tx_size: usize, seed: u64) -> Vec<Transaction> {
-    let mut rng = DetRng::seed_from_u64(seed);
-    (0..count)
-        .map(|i| {
-            let mut payload = vec![0u8; tx_size];
-            rng.fill_bytes(payload.as_mut_slice());
-            Transaction::new(0xFEED, i as u64, payload)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A batch of `count` random transactions of `tx_size` bytes.
+    fn random_batch(count: usize, tx_size: usize, seed: u64) -> Vec<Transaction> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        (0..count)
+            .map(|i| {
+                let mut payload = vec![0u8; tx_size];
+                rng.fill_bytes(payload.as_mut_slice());
+                Transaction::new(0xFEED, i as u64, payload)
+            })
+            .collect()
+    }
 
     #[test]
     fn schedule_has_expected_rate_and_ordering() {
@@ -141,7 +134,8 @@ mod tests {
         assert!(inj
             .schedule(SimTime::from_secs(1), SimTime::from_secs(1))
             .is_empty());
-        let inj = TxInjector::new(10.0, 512, 4).with_targets(vec![]);
+        let mut inj = TxInjector::new(10.0, 512, 4);
+        inj.targets.clear();
         assert!(inj
             .schedule(SimTime::ZERO, SimTime::from_secs(1))
             .is_empty());
@@ -149,7 +143,8 @@ mod tests {
 
     #[test]
     fn targeted_injection_only_hits_targets() {
-        let inj = TxInjector::new(10.0, 32, 4).with_targets(vec![NodeId(2)]);
+        let mut inj = TxInjector::new(10.0, 32, 4);
+        inj.targets = vec![NodeId(2)];
         let sched = inj.schedule(SimTime::ZERO, SimTime::from_secs(1));
         assert!(sched.iter().all(|(_, node, _)| *node == NodeId(2)));
     }

@@ -14,7 +14,6 @@
 use crate::bytes::Bytes;
 use crate::ids::{NodeId, Round, WorkerId};
 use crate::transaction::Transaction;
-use crate::wire::WireSize;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -47,11 +46,6 @@ impl Hash {
         &self.0
     }
 
-    /// True for the all-zero genesis parent hash.
-    pub fn is_genesis(&self) -> bool {
-        self.0 == [0u8; 32]
-    }
-
     /// Short hex prefix, used in logs and debug output.
     pub fn short_hex(&self) -> String {
         hex_encode(&self.0[..6])
@@ -67,12 +61,6 @@ impl fmt::Debug for Hash {
 impl fmt::Display for Hash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", hex_encode(&self.0))
-    }
-}
-
-impl WireSize for Hash {
-    fn wire_size(&self) -> usize {
-        32
     }
 }
 
@@ -123,15 +111,6 @@ impl fmt::Debug for Signature {
         } else {
             write!(f, "sig({}B)", self.0.len())
         }
-    }
-}
-
-impl WireSize for Signature {
-    fn wire_size(&self) -> usize {
-        // A fixed-size (compact) ECDSA signature is 64 bytes; we charge the
-        // nominal size even for empty test signatures so that simulated wire
-        // costs do not depend on whether real crypto is enabled.
-        64
     }
 }
 
@@ -459,18 +438,6 @@ impl fmt::Debug for BlockHeader {
     }
 }
 
-impl WireSize for BlockHeader {
-    fn wire_size(&self) -> usize {
-        // Headers without an exec root are charged the 92 bytes they cost
-        // before the field existed: the codec's always-present presence byte
-        // is deliberately not modeled, so simulated runs that don't enable
-        // execution keep reproducing the committed bench rows byte-for-byte
-        // (the same nominal-size divergence `Signature` documents). A carried
-        // root is charged in full (presence byte + 32 root bytes).
-        8 + 4 + 4 + 32 + 32 + 4 + 8 + self.exec_root.map_or(0, |_| 1 + 32)
-    }
-}
-
 /// A header together with its proposer's signature — the unit that flows
 /// through WRB and that constitutes `evidence(1)` for OBBC (§A.5).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -517,12 +484,6 @@ impl SignedHeader {
 impl fmt::Debug for SignedHeader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Signed{:?}", self.header)
-    }
-}
-
-impl WireSize for SignedHeader {
-    fn wire_size(&self) -> usize {
-        self.header.wire_size() + self.signature.wire_size()
     }
 }
 
@@ -585,15 +546,10 @@ impl fmt::Debug for Block {
     }
 }
 
-impl WireSize for Block {
-    fn wire_size(&self) -> usize {
-        self.header.wire_size() + 4 + self.txs.iter().map(WireSize::wire_size).sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::WireCodec;
 
     fn header(round: u64, proposer: u32) -> BlockHeader {
         BlockHeader::new(
@@ -609,8 +565,8 @@ mod tests {
 
     #[test]
     fn genesis_hash_is_zero() {
-        assert!(GENESIS_HASH.is_genesis());
-        assert!(!Hash([1u8; 32]).is_genesis());
+        assert_eq!(GENESIS_HASH, Hash([0u8; 32]));
+        assert_eq!(GENESIS_HASH, Hash::default());
     }
 
     #[test]
@@ -622,10 +578,8 @@ mod tests {
         assert_eq!(a.canonical_bytes(), b.canonical_bytes());
         assert_ne!(a.canonical_bytes(), c.canonical_bytes());
         assert_ne!(a.canonical_bytes(), d.canonical_bytes());
-        // Canonical bytes always carry the exec-root presence byte; the
-        // modeled wire size only charges it when a root is present.
+        // Canonical bytes always carry the exec-root presence byte.
         assert_eq!(a.canonical_bytes().len(), BlockHeader::CANONICAL_LEN + 1);
-        assert_eq!(a.wire_size(), BlockHeader::CANONICAL_LEN);
     }
 
     #[test]
@@ -634,7 +588,8 @@ mod tests {
         let rooted = header(1, 0).with_exec_root(Hash([3u8; 32]));
         assert_ne!(plain.canonical_bytes(), rooted.canonical_bytes());
         assert_eq!(rooted.canonical_bytes().len(), BlockHeader::CANONICAL_MAX);
-        assert_eq!(rooted.canonical_bytes().len(), rooted.wire_size());
+        assert_eq!(rooted.encoded_len(), BlockHeader::CANONICAL_MAX);
+        assert_eq!(plain.encoded_len(), BlockHeader::CANONICAL_LEN + 1);
         assert_eq!(
             rooted.canonical_bytes().as_slice()[BlockHeader::CANONICAL_LEN],
             1
@@ -658,7 +613,12 @@ mod tests {
         assert_eq!(block.len(), 2);
         assert!(!block.is_empty());
         assert_eq!(block.payload_bytes(), 1024);
-        assert!(block.wire_size() > 1024);
+        // Header, then the u32 count and each tx's client, seq and
+        // length-prefixed payload.
+        assert_eq!(
+            block.encoded_len(),
+            block.header.encoded_len() + 4 + 2 * (8 + 8 + 4 + 512)
+        );
     }
 
     #[test]
@@ -673,7 +633,8 @@ mod tests {
         let sh = SignedHeader::new(header(9, 2), Signature::from(vec![1, 2, 3]));
         assert_eq!(sh.round(), Round(9));
         assert_eq!(sh.proposer(), NodeId(2));
-        assert_eq!(sh.wire_size(), sh.header.wire_size() + 64);
+        // A signature costs its length prefix plus the bytes the signer made.
+        assert_eq!(sh.encoded_len(), sh.header.encoded_len() + 4 + 3);
     }
 
     #[test]

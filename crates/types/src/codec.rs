@@ -4,8 +4,9 @@
 //! `docs/WIRE_FORMAT.md` (repository root) — the spec is the source of truth
 //! and this file cites its section numbers; a change to either must change
 //! both. The codec is what the TCP runtime (`fireledger-net`) puts on real
-//! sockets, whereas [`crate::wire::WireSize`] merely *models* byte costs for
-//! the simulator.
+//! sockets, and [`framed_len`] — the frame header plus
+//! [`WireCodec::encoded_len`] — is the one byte count both that runtime and
+//! the simulator use, so a simulated message costs the bytes a socket sends.
 //!
 //! Core rules (WIRE_FORMAT.md §2):
 //!
@@ -52,6 +53,13 @@ pub const MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
 
 /// Size in bytes of the encoded [`FrameHeader`]: magic + version + length.
 pub const FRAME_HEADER_LEN: usize = 9;
+
+/// Bytes one message occupies on a link: the frame header plus its payload
+/// (WIRE_FORMAT.md §3). The TCP runtime sizes each frame with it and the
+/// simulator charges each copy of a message with it.
+pub fn framed_len<M: WireCodec>(msg: &M) -> usize {
+    FRAME_HEADER_LEN + msg.encoded_len()
+}
 
 /// A decoding failure.
 ///
@@ -751,6 +759,21 @@ mod tests {
         roundtrip(Vec::<u64>::new());
         roundtrip(Box::new(9u64));
         roundtrip((3u32, 4u64));
+    }
+
+    #[test]
+    fn encoded_sizes_are_fixed_width() {
+        assert_eq!(true.encoded_len(), 1);
+        assert_eq!(7u8.encoded_len(), 1);
+        assert_eq!(7u32.encoded_len(), 4);
+        assert_eq!(7u64.encoded_len(), 8);
+        // Option: presence byte; sequences: u32 count prefix.
+        assert_eq!(None::<u64>.encoded_len(), 1);
+        assert_eq!(Some(1u64).encoded_len(), 9);
+        assert_eq!(vec![1u32, 2, 3].encoded_len(), 4 + 12);
+        assert_eq!(Vec::<u32>::new().encoded_len(), 4);
+        assert_eq!((1u32, 2u64).encoded_len(), 12);
+        assert_eq!(Box::new(5u64).encoded_len(), 8);
     }
 
     #[test]

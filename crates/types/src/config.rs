@@ -53,14 +53,6 @@ impl ClusterConfig {
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.n as u32).map(NodeId)
     }
-
-    /// The depth at which a block becomes definite: `f + 2`
-    /// (FireLedger implements BBFC(f+1), and Algorithm 2 line b11 decides the
-    /// block at depth `f + 2`).
-    #[inline]
-    pub fn finality_depth(&self) -> u64 {
-        self.f as u64 + 2
-    }
 }
 
 /// Profile for *executable* filler transactions (see
@@ -247,7 +239,6 @@ mod tests {
         // The HotStuff comparison (§7.6) runs with f = ⌊n/3⌋ - 1.
         let c = ClusterConfig::with_f(10, 2);
         assert_eq!(c.quorum(), 8);
-        assert_eq!(c.finality_depth(), 4);
     }
 
     #[test]
@@ -286,11 +277,5 @@ mod tests {
     fn workers_clamped_to_timer_id_capacity() {
         let p = ProtocolParams::new(4).with_workers(100_000);
         assert_eq!(p.workers, crate::runtime::TimerId::MAX_WORKERS);
-    }
-
-    #[test]
-    fn finality_depth_is_f_plus_two() {
-        assert_eq!(ClusterConfig::new(4).finality_depth(), 3);
-        assert_eq!(ClusterConfig::new(10).finality_depth(), 5);
     }
 }

@@ -561,25 +561,6 @@ impl FaultPlan {
         }
         release
     }
-
-    /// The latest point at which this plan changes anything (last window
-    /// edge, heal, crash or recovery) — useful for sizing run durations.
-    pub fn last_event_at(&self) -> Duration {
-        let mut last = Duration::ZERO;
-        for f in &self.link_faults {
-            last = last.max(f.window.until.unwrap_or(f.window.from));
-        }
-        for p in &self.partitions {
-            last = last.max(p.heal.unwrap_or(p.at));
-        }
-        for nf in &self.node_faults {
-            last = last.max(nf.recover_at.unwrap_or(nf.crash_at));
-        }
-        for kf in &self.kill_faults {
-            last = last.max(kf.restart_at.unwrap_or(kf.kill_at));
-        }
-        last
-    }
 }
 
 /// The fate the fault engine assigns to one message on one link.
@@ -779,7 +760,6 @@ mod tests {
         assert!(plan.node_down(NodeId(2), ms(200)));
         assert!(!plan.node_down(NodeId(2), ms(300)));
         assert_eq!(plan.faulted_nodes(), vec![NodeId(1), NodeId(2)]);
-        assert_eq!(plan.last_event_at(), ms(300));
     }
 
     #[test]

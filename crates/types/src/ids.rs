@@ -118,13 +118,6 @@ impl Round {
     pub fn minus(self, k: u64) -> Round {
         Round(self.0.saturating_sub(k))
     }
-
-    /// The depth of a block decided in round `self` as seen from `current`:
-    /// `d(v^r_p) = r' - r` in the paper's notation (§3.3).
-    #[inline]
-    pub fn depth_from(self, current: Round) -> u64 {
-        current.0.saturating_sub(self.0)
-    }
 }
 
 impl fmt::Debug for Round {
@@ -171,13 +164,6 @@ mod tests {
         assert_eq!(r.plus(5), Round(15));
         assert_eq!(r.minus(20), Round(0));
         assert_eq!(Round::ZERO.prev(), Round(0));
-    }
-
-    #[test]
-    fn round_depth() {
-        assert_eq!(Round(5).depth_from(Round(9)), 4);
-        assert_eq!(Round(9).depth_from(Round(5)), 0);
-        assert_eq!(Round(7).depth_from(Round(7)), 0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Foundational data types shared by every crate in the FireLedger workspace:
 //! node / worker / round identifiers, transactions, blocks and block headers,
-//! cluster configuration, a wire-size model used by the network simulator,
-//! the binary wire [`codec`] (spec: `docs/WIRE_FORMAT.md`) used by the TCP
-//! runtime, and the runtime-agnostic [`runtime::Protocol`] state-machine
+//! cluster configuration, the binary wire [`codec`] (spec:
+//! `docs/WIRE_FORMAT.md`) whose framed sizes the TCP runtime sends and the
+//! simulator charges, and the runtime-agnostic [`runtime::Protocol`] state-machine
 //! abstraction that lets the same protocol code run under the discrete-event
 //! simulator (`fireledger-sim`) and the real-time runtimes
 //! (`fireledger-net`).
@@ -29,14 +29,15 @@ pub mod rpc;
 pub mod runtime;
 pub mod sync;
 pub mod transaction;
-pub mod wire;
 
 pub use block::{
     Block, BlockHeader, CanonicalBytes, Hash, HashMemo, SigMemo, Signature, SignedHeader,
     GENESIS_HASH,
 };
 pub use bytes::Bytes;
-pub use codec::{CodecError, FrameHeader, Reader, WireCodec, MAX_FRAME_LEN, WIRE_VERSION};
+pub use codec::{
+    framed_len, CodecError, FrameHeader, Reader, WireCodec, MAX_FRAME_LEN, WIRE_VERSION,
+};
 pub use config::{ClusterConfig, FillOps, ProtocolParams};
 pub use error::{Error, Result};
 pub use faults::{
@@ -51,4 +52,3 @@ pub use rpc::{Lane, RejectReason, RpcMsg, SubmitStatus, MAX_RPC_PAYLOAD};
 pub use runtime::{Action, Delivery, Observation, Outbox, Protocol, TimerId};
 pub use sync::{SyncMsg, MAX_SYNC_BODIES, MAX_SYNC_HEADERS};
 pub use transaction::Transaction;
-pub use wire::WireSize;

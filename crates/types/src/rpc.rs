@@ -27,7 +27,6 @@
 
 use crate::codec::{CodecError, Reader, WireCodec};
 use crate::ids::Round;
-use crate::wire::WireSize;
 
 /// Hard cap on one [`RpcMsg::Submit`] payload. Far below the §3 frame cap:
 /// a single client must not be able to park a 32 MiB allocation on a node
@@ -104,15 +103,6 @@ impl SubmitStatus {
     /// True when the submission was admitted.
     pub fn is_accepted(&self) -> bool {
         matches!(self, SubmitStatus::Accepted { .. })
-    }
-
-    /// True when retrying the *same* submission can succeed later
-    /// (`Busy`/`RateLimited`/`Syncing`); `Duplicate` is terminal.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            SubmitStatus::Busy { .. } | SubmitStatus::RateLimited { .. } | SubmitStatus::Syncing
-        )
     }
 
     /// The server's back-off hint, when the status carries one.
@@ -222,12 +212,6 @@ pub enum RpcMsg {
         /// Why the connection is being closed.
         reason: RejectReason,
     },
-}
-
-impl WireSize for RpcMsg {
-    fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 fn encode_status(status: &SubmitStatus, out: &mut Vec<u8>) {
@@ -540,10 +524,6 @@ mod tests {
     fn status_helpers_classify_outcomes() {
         assert!(SubmitStatus::Accepted { ticket: 1 }.is_accepted());
         assert!(!SubmitStatus::Duplicate.is_accepted());
-        assert!(SubmitStatus::Busy { retry_after_ms: 5 }.is_retryable());
-        assert!(SubmitStatus::RateLimited { retry_after_ms: 5 }.is_retryable());
-        assert!(SubmitStatus::Syncing.is_retryable());
-        assert!(!SubmitStatus::Duplicate.is_retryable());
         assert_eq!(
             SubmitStatus::Busy { retry_after_ms: 5 }.retry_after_ms(),
             Some(5)

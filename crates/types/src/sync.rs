@@ -31,7 +31,6 @@ use crate::block::SignedHeader;
 use crate::codec::{CodecError, Reader, WireCodec};
 use crate::ids::Round;
 use crate::transaction::Transaction;
-use crate::wire::WireSize;
 
 /// Hard cap on the number of headers one [`SyncMsg::HeadersReply`] may
 /// carry. A server clamps every requested range to this many rounds; a
@@ -115,18 +114,6 @@ impl SyncMsg {
             | SyncMsg::HeadersReply { req, .. }
             | SyncMsg::GetBlocks { req, .. }
             | SyncMsg::BlocksReply { req, .. } => *req,
-        }
-    }
-}
-
-impl WireSize for SyncMsg {
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            SyncMsg::TipProbe { .. } => 8,
-            SyncMsg::TipReply { .. } => 8 + 8,
-            SyncMsg::GetHeaders { .. } | SyncMsg::GetBlocks { .. } => 8 + 8 + 8,
-            SyncMsg::HeadersReply { headers, .. } => 8 + 8 + headers.wire_size(),
-            SyncMsg::BlocksReply { bodies, .. } => 8 + 8 + bodies.wire_size(),
         }
     }
 }
@@ -313,7 +300,7 @@ mod tests {
             to: Round(512),
         };
         assert!(
-            get.wire_size() < 32,
+            get.encoded_len() < 32,
             "range requests must stay constant-size"
         );
         let reply = SyncMsg::HeadersReply {
@@ -321,6 +308,6 @@ mod tests {
             from: Round(0),
             headers: vec![signed_header(); 8],
         };
-        assert!(reply.wire_size() > 8 * signed_header().wire_size());
+        assert!(reply.encoded_len() > 8 * signed_header().encoded_len());
     }
 }

@@ -8,7 +8,6 @@
 //! same type.
 
 use crate::bytes::Bytes;
-use crate::wire::WireSize;
 use std::fmt;
 
 /// A client transaction: an opaque payload plus bookkeeping identifiers.
@@ -69,16 +68,10 @@ impl fmt::Debug for Transaction {
     }
 }
 
-impl WireSize for Transaction {
-    fn wire_size(&self) -> usize {
-        // client + seq + length prefix + payload
-        8 + 8 + 4 + self.payload.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::WireCodec;
 
     #[test]
     fn id_is_client_and_seq() {
@@ -97,7 +90,8 @@ mod tests {
     #[test]
     fn wire_size_includes_overhead() {
         let tx = Transaction::zeroed(1, 1, 512);
-        assert_eq!(tx.wire_size(), 512 + 20);
+        // client + seq + length prefix + payload
+        assert_eq!(tx.encoded_len(), 512 + 20);
     }
 
     #[test]

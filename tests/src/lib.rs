@@ -48,7 +48,7 @@ pub fn definite_prefix(
 pub fn assert_delivery_agreement<P>(sim: &Simulation<P>, nodes: &[u32])
 where
     P: fireledger_types::Protocol,
-    P::Msg: fireledger_types::WireSize,
+    P::Msg: fireledger_types::WireCodec,
 {
     let seq = |i: u32| {
         sim.deliveries(NodeId(i))

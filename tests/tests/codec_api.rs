@@ -13,19 +13,27 @@
 //! Plus the golden-hex anchor: the worked example of `docs/WIRE_FORMAT.md`
 //! §8 must come out byte-for-byte unchanged through the *new* buffer-reuse
 //! path, proving the optimisations did not move a single wire bit.
+//!
+//! And one size model: the simulator charges every copy of a message
+//! `framed_len` bytes, which must be exactly the frame the socket runtime
+//! writes for it.
 
 use fireledger::{ConsensusValue, FloMsg, PanicProof, WorkerMsg};
 use fireledger_baselines::hotstuff::QuorumCert;
 use fireledger_baselines::{HotStuffMsg, OrderedBatch};
 use fireledger_bft::{PbftMsg, RbMsg};
+use fireledger_net::frame::write_frame;
+use fireledger_sim::{SimConfig, Simulation};
 use fireledger_store::{decode_footer, encode_footer, encode_record, scan_records, REC_BLOCK};
-use fireledger_types::codec::FrameHeader;
+use fireledger_types::codec::{FrameHeader, FRAME_HEADER_LEN};
 use fireledger_types::rpc::{Lane, RejectReason, RpcMsg, SubmitStatus};
 use fireledger_types::{
-    BlockHeader, Bytes, CodecError, Hash, NodeId, Receipt, Round, Signature, SignedHeader,
-    StoredBlock, SyncMsg, Transaction, TxOp, WalRecord, WireCodec, WorkerId, GENESIS_HASH,
+    framed_len, BlockHeader, Bytes, CodecError, Hash, NodeId, Outbox, Protocol, Receipt, Round,
+    Signature, SignedHeader, StoredBlock, SyncMsg, TimerId, Transaction, TxOp, WalRecord,
+    WireCodec, WorkerId, GENESIS_HASH,
 };
 use std::fmt::Debug;
+use std::time::Duration;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -213,20 +221,20 @@ fn bft_messages_satisfy_the_codec_contract() {
     }
 }
 
-#[test]
-fn baseline_messages_satisfy_the_codec_contract() {
-    let mut scratch = Vec::new();
-    let qc = QuorumCert {
+fn quorum_cert() -> QuorumCert {
+    QuorumCert {
         view: 4,
         block_hash: Hash([0x77; 32]),
-    };
-    assert_codec_contract(&qc, &mut scratch);
-    for msg in [
+    }
+}
+
+fn every_hotstuff_msg() -> Vec<HotStuffMsg> {
+    vec![
         HotStuffMsg::Proposal {
             view: 5,
             header: signed_header(),
             txs: txs(),
-            justify: qc.clone(),
+            justify: quorum_cert(),
         },
         HotStuffMsg::Vote {
             view: 5,
@@ -234,18 +242,62 @@ fn baseline_messages_satisfy_the_codec_contract() {
         },
         HotStuffMsg::NewView {
             view: 6,
-            high_qc: qc.clone(),
+            high_qc: quorum_cert(),
         },
-    ] {
-        assert_codec_contract(&msg, &mut scratch);
-    }
-    let batch = OrderedBatch {
+    ]
+}
+
+fn ordered_batch() -> OrderedBatch {
+    OrderedBatch {
         assembler: NodeId(2),
         seq: 17,
         txs: txs(),
-    };
-    assert_codec_contract(&batch, &mut scratch);
-    assert_codec_contract(&PbftMsg::Request { value: batch }, &mut scratch);
+    }
+}
+
+/// What a BFT-SMaRt node sends: PBFT messages whose value is a batch.
+fn every_bftsmart_msg() -> Vec<PbftMsg<OrderedBatch>> {
+    vec![
+        PbftMsg::Request {
+            value: ordered_batch(),
+        },
+        PbftMsg::PrePrepare {
+            view: 1,
+            seq: 2,
+            value: ordered_batch(),
+        },
+        PbftMsg::Prepare {
+            view: 1,
+            seq: 2,
+            digest: 3,
+        },
+        PbftMsg::Commit {
+            view: 1,
+            seq: 2,
+            digest: 3,
+        },
+        PbftMsg::ViewChange {
+            new_view: 2,
+            prepared: vec![(1, ordered_batch())],
+        },
+        PbftMsg::NewView {
+            view: 2,
+            preprepares: vec![(3, ordered_batch())],
+        },
+    ]
+}
+
+#[test]
+fn baseline_messages_satisfy_the_codec_contract() {
+    let mut scratch = Vec::new();
+    assert_codec_contract(&quorum_cert(), &mut scratch);
+    for msg in every_hotstuff_msg() {
+        assert_codec_contract(&msg, &mut scratch);
+    }
+    assert_codec_contract(&ordered_batch(), &mut scratch);
+    for msg in every_bftsmart_msg() {
+        assert_codec_contract(&msg, &mut scratch);
+    }
 }
 
 fn every_sync_msg() -> Vec<SyncMsg> {
@@ -853,4 +905,86 @@ fn state_roots_of_wire_format_section_12_3_are_pinned() {
 
     state.apply_op(&TxOp::KvDelete { key: 4 });
     assert_eq!(root(&state), genesis, "a deleted entry leaves no trace");
+}
+
+/// The simulator charges a copy `framed_len` bytes; the frame layer writes
+/// the §3 header and then the encoded payload. The two counts must agree.
+fn assert_charged_as_framed<T: WireCodec + Debug>(msg: &T) {
+    let payload = msg.encode();
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("write to a Vec");
+    assert_eq!(frame.len(), FRAME_HEADER_LEN + payload.len());
+    assert_eq!(
+        framed_len(msg),
+        frame.len(),
+        "simulated charge differs from the frame bytes for {msg:?}"
+    );
+}
+
+#[test]
+fn the_simulator_charges_every_message_the_bytes_its_frame_takes() {
+    for msg in every_worker_msg() {
+        assert_charged_as_framed(&msg);
+        assert_charged_as_framed(&FloMsg {
+            worker: WorkerId(1),
+            inner: msg,
+        });
+    }
+    for msg in every_hotstuff_msg() {
+        assert_charged_as_framed(&msg);
+    }
+    for msg in every_bftsmart_msg() {
+        assert_charged_as_framed(&msg);
+    }
+    for msg in every_sync_msg() {
+        assert_charged_as_framed(&msg);
+        assert_charged_as_framed(&FloMsg {
+            worker: WorkerId(0),
+            inner: WorkerMsg::Sync(msg),
+        });
+    }
+    for msg in every_rpc_msg() {
+        assert_charged_as_framed(&msg);
+    }
+}
+
+/// Node 0 broadcasts one FLO message on start; nobody else sends.
+struct OneBroadcast {
+    id: NodeId,
+    msg: FloMsg,
+}
+
+impl Protocol for OneBroadcast {
+    type Msg = FloMsg;
+    fn node_id(&self) -> NodeId {
+        self.id
+    }
+    fn on_start(&mut self, out: &mut Outbox<FloMsg>) {
+        if self.id == NodeId(0) {
+            out.broadcast(self.msg.clone());
+        }
+    }
+    fn on_message(&mut self, _from: NodeId, _msg: FloMsg, _out: &mut Outbox<FloMsg>) {}
+    fn on_timer(&mut self, _timer: TimerId, _out: &mut Outbox<FloMsg>) {}
+}
+
+#[test]
+fn a_simulated_broadcast_costs_one_frame_per_peer() {
+    let msg = FloMsg {
+        worker: WorkerId(0),
+        inner: WorkerMsg::Header {
+            header: signed_header(),
+        },
+    };
+    let nodes = (0..4)
+        .map(|i| OneBroadcast {
+            id: NodeId(i),
+            msg: msg.clone(),
+        })
+        .collect();
+    let mut sim = Simulation::new(SimConfig::single_dc(), nodes);
+    sim.run_for(Duration::from_millis(50));
+    let sent = &sim.metrics().node_counters()[0];
+    assert_eq!(sent.msgs_sent, 3);
+    assert_eq!(sent.bytes_sent, 3 * framed_len(&msg) as u64);
 }
