@@ -762,21 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_sizes_are_fixed_width() {
-        assert_eq!(true.encoded_len(), 1);
-        assert_eq!(7u8.encoded_len(), 1);
-        assert_eq!(7u32.encoded_len(), 4);
-        assert_eq!(7u64.encoded_len(), 8);
-        // Option: presence byte; sequences: u32 count prefix.
-        assert_eq!(None::<u64>.encoded_len(), 1);
-        assert_eq!(Some(1u64).encoded_len(), 9);
-        assert_eq!(vec![1u32, 2, 3].encoded_len(), 4 + 12);
-        assert_eq!(Vec::<u32>::new().encoded_len(), 4);
-        assert_eq!((1u32, 2u64).encoded_len(), 12);
-        assert_eq!(Box::new(5u64).encoded_len(), 8);
-    }
-
-    #[test]
     fn integers_are_big_endian() {
         assert_eq!(0x0102_0304u32.encode(), vec![1, 2, 3, 4]);
         assert_eq!(0x0102u16.encode(), vec![1, 2]);

@@ -52,3 +52,39 @@ pub use rpc::{Lane, RejectReason, RpcMsg, SubmitStatus, MAX_RPC_PAYLOAD};
 pub use runtime::{Action, Delivery, Observation, Outbox, Protocol, TimerId};
 pub use sync::{SyncMsg, MAX_SYNC_BODIES, MAX_SYNC_HEADERS};
 pub use transaction::Transaction;
+
+/// Exact widths of the codec's primitive and composite encodings: the bytes
+/// the simulator charges and the socket sends for each building block.
+#[cfg(test)]
+mod wire {
+    mod tests {
+        use crate::codec::WireCodec;
+
+        #[test]
+        fn primitive_sizes() {
+            assert_eq!(true.encoded_len(), 1);
+            assert_eq!(7u8.encoded_len(), 1);
+            assert_eq!(7u16.encoded_len(), 2);
+            assert_eq!(7u32.encoded_len(), 4);
+            assert_eq!(7u64.encoded_len(), 8);
+        }
+
+        #[test]
+        fn option_adds_tag_byte() {
+            assert_eq!(None::<u64>.encoded_len(), 1);
+            assert_eq!(Some(1u64).encoded_len(), 9);
+        }
+
+        #[test]
+        fn vec_adds_length_prefix() {
+            assert_eq!(vec![1u32, 2, 3].encoded_len(), 4 + 12);
+            assert_eq!(Vec::<u32>::new().encoded_len(), 4);
+        }
+
+        #[test]
+        fn composite_sizes() {
+            assert_eq!((1u32, 2u64).encoded_len(), 12);
+            assert_eq!(Box::new(5u64).encoded_len(), 8);
+        }
+    }
+}
