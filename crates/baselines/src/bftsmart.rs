@@ -12,7 +12,7 @@
 //! here, versus a single all-to-all bit exchange on FireLedger's optimistic
 //! path.
 
-use fireledger_bft::{Pbft, PbftConfig, PbftMsg};
+use fireledger_bft::{Pbft, PbftConfig, PbftMsg, PBFT_TIMER_KIND};
 use fireledger_crypto::{merkle_root, SharedCrypto};
 use fireledger_types::codec::{CodecError, Reader, WireCodec};
 use fireledger_types::runtime::CpuCharge;
@@ -58,8 +58,6 @@ impl WireCodec for OrderedBatch {
 
 /// Timer kind for the batch pump.
 const TIMER_PUMP: u8 = 3;
-/// Timer kind handed to the embedded PBFT instance.
-const TIMER_PBFT: u8 = 0xAB;
 /// Number of batches the leader keeps in flight (pipelining).
 const PIPELINE: usize = 4;
 
@@ -109,8 +107,7 @@ impl BftSmartNode {
     /// Creates a replica.
     pub fn new(me: NodeId, params: ProtocolParams, crypto: SharedCrypto) -> Self {
         let pbft_cfg = PbftConfig::new(params.cluster)
-            .with_timeout((params.base_timeout * 20).max(Duration::from_millis(500)))
-            .with_timer_kind(TIMER_PBFT);
+            .with_timeout((params.base_timeout * 20).max(Duration::from_millis(500)));
         BftSmartNode {
             me,
             pbft: Pbft::new(me, pbft_cfg),
@@ -245,7 +242,7 @@ impl Protocol for BftSmartNode {
                 self.pump(out);
                 out.set_timer(self.pump_timer(), self.pump_interval());
             }
-            TIMER_PBFT => {
+            PBFT_TIMER_KIND => {
                 self.pbft.on_timer(timer, out);
             }
             _ => {}

@@ -656,11 +656,11 @@ mod tests {
 
     #[test]
     fn pacemaker_skips_a_crashed_leader() {
-        use fireledger_sim::adversary::CrashSchedule;
-        use fireledger_sim::SimTime;
+        use fireledger_sim::PlanAdversary;
+        use fireledger_types::FaultPlan;
         // Node 1 (leader of view 1... node 2 leads view 2, etc.) crashes from
         // the start; progress must continue past its views.
-        let adv = CrashSchedule::new().crash(NodeId(2), SimTime::ZERO);
+        let adv = PlanAdversary::new(FaultPlan::named("crash").crash(NodeId(2), Duration::ZERO));
         let mut sim = Simulation::with_adversary(SimConfig::ideal(), cluster(4, 5), Box::new(adv));
         sim.run_for(Duration::from_secs(3));
         assert!(
@@ -704,9 +704,8 @@ mod tests {
 mod debug_tests {
     use super::*;
     use fireledger_crypto::SimKeyStore;
-    use fireledger_sim::adversary::CrashSchedule;
-    use fireledger_sim::SimTime;
-    use fireledger_sim::{SimConfig, Simulation};
+    use fireledger_sim::{PlanAdversary, SimConfig, Simulation};
+    use fireledger_types::FaultPlan;
 
     #[test]
     #[ignore]
@@ -719,7 +718,7 @@ mod debug_tests {
         let nodes: Vec<HotStuffNode> = (0..4)
             .map(|i| HotStuffNode::new(NodeId(i as u32), params.clone(), crypto.clone()))
             .collect();
-        let adv = CrashSchedule::new().crash(NodeId(2), SimTime::ZERO);
+        let adv = PlanAdversary::new(FaultPlan::named("crash").crash(NodeId(2), Duration::ZERO));
         let mut sim = Simulation::with_adversary(SimConfig::ideal(), nodes, Box::new(adv));
         sim.run_for(Duration::from_secs(1));
         for i in [0u32, 1, 3] {

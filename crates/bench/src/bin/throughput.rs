@@ -2,8 +2,9 @@
 //!
 //! Runs the hot-path protocols (FLO, HotStuff, BFT-SMaRt) on the
 //! deterministic simulator with one mid-size configuration and appends the
-//! resulting points — tps, bps, latency percentiles, and an
-//! allocations-per-block proxy — as one labelled *run* to
+//! resulting points — tps, bps, latency percentiles, the message, byte and
+//! signature counts, and an allocations-per-block proxy — as one labelled
+//! *run* to
 //! `BENCH_throughput.json`. Simulated rows
 //! are byte-identical across re-runs, so a change in them is a change in
 //! the protocol's behaviour or its modelled cost, never host noise.
@@ -103,6 +104,7 @@ impl Point {
                 "\"tps\":{:.2},\"bps\":{:.2},",
                 "\"p50_latency_secs\":{:.6},\"p99_latency_secs\":{:.6},",
                 "\"blocks\":{},\"txs\":{},",
+                "\"msgs_sent\":{},\"bytes_sent\":{},\"signatures\":{},\"verifications\":{},",
                 "\"allocs\":{},\"alloc_bytes\":{},\"allocs_per_block\":{:.1}}}"
             ),
             self.config.system,
@@ -117,6 +119,10 @@ impl Point {
             self.report.p99_latency_secs,
             self.blocks(),
             self.txs(),
+            self.report.msgs_sent,
+            self.report.bytes_sent,
+            self.report.signatures,
+            self.report.verifications,
             self.allocs,
             self.alloc_bytes,
             self.allocs_per_block(),

@@ -138,7 +138,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Crashes the last `crashed` nodes at the start of the measurement.
+    /// Crashes the last `crashed` nodes at the start of the run (one
+    /// [`FaultPlan::crash`] each).
     pub fn with_crashes(mut self, crashed: usize) -> Self {
         self.crashed = crashed;
         self
@@ -162,7 +163,11 @@ impl ExperimentConfig {
             _ => scenario.single_dc(),
         };
         if self.crashed > 0 {
-            scenario = scenario.crash_last_f(self.n, self.crashed, Duration::ZERO);
+            let tail = self.n.saturating_sub(self.crashed)..self.n;
+            let plan = tail.fold(FaultPlan::named("crash-last-f"), |plan, i| {
+                plan.crash(NodeId(i as u32), Duration::ZERO)
+            });
+            scenario = scenario.with_faults(plan);
         }
         if let Some(load) = &self.ingress {
             scenario = scenario.with_ingress(load.clone());
@@ -221,7 +226,7 @@ impl ExperimentConfig {
         self.run_sim(Some(cost))
     }
 
-    /// The nodes metrics are averaged over (correct nodes only). Crashed and
+    /// The nodes metrics are averaged over (correct nodes only). Crashes and
     /// Byzantine roles both target the tail of the cluster, so the faulty set
     /// is the union of the two tails, not their sum.
     pub fn correct_nodes(&self) -> Vec<NodeId> {

@@ -23,5 +23,5 @@
 pub mod pbft;
 pub mod rb;
 
-pub use pbft::{Pbft, PbftConfig, PbftMsg};
+pub use pbft::{Pbft, PbftConfig, PbftMsg, PBFT_TIMER_KIND};
 pub use rb::{RbMsg, ReliableBroadcast};

@@ -29,6 +29,10 @@ use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
+/// The kind byte of every PBFT view timer: a parent protocol embedding one
+/// instance routes the timers of this kind to it.
+pub const PBFT_TIMER_KIND: u8 = 0xAB;
+
 /// Configuration of one PBFT instance.
 #[derive(Clone, Debug)]
 pub struct PbftConfig {
@@ -37,9 +41,6 @@ pub struct PbftConfig {
     /// Timeout after which a node that still has undelivered submissions
     /// votes to change the view.
     pub view_timeout: Duration,
-    /// Namespace byte for this instance's timers (so that a parent protocol
-    /// embedding several PBFT instances can tell their timers apart).
-    pub timer_kind: u8,
 }
 
 impl PbftConfig {
@@ -48,19 +49,12 @@ impl PbftConfig {
         PbftConfig {
             cluster,
             view_timeout: Duration::from_secs(1),
-            timer_kind: 0xAB,
         }
     }
 
     /// Builder-style timeout override.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.view_timeout = timeout;
-        self
-    }
-
-    /// Builder-style timer-namespace override.
-    pub fn with_timer_kind(mut self, kind: u8) -> Self {
-        self.timer_kind = kind;
         self
     }
 }
@@ -305,7 +299,7 @@ where
     }
 
     fn timer_id(&self) -> TimerId {
-        TimerId::compose(self.config.timer_kind, self.timer_generation)
+        TimerId::compose(PBFT_TIMER_KIND, self.timer_generation)
     }
 
     fn arm_timer(&mut self, out: &mut Outbox<PbftMsg<V>>) {
@@ -653,7 +647,7 @@ where
     /// PBFT instance (the parent can then skip its own handling).
     pub fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<PbftMsg<V>>) -> bool {
         let (kind, generation) = timer.decompose();
-        if kind != self.config.timer_kind {
+        if kind != PBFT_TIMER_KIND {
             return false;
         }
         if generation != self.timer_generation {
@@ -717,7 +711,7 @@ mod tests {
 
         fn timeout(&mut self, node: usize) {
             // Fire the node's current timer.
-            let id = TimerId::compose(0xAB, self.nodes[node].timer_generation);
+            let id = TimerId::compose(PBFT_TIMER_KIND, self.nodes[node].timer_generation);
             let mut out = Outbox::new();
             let handled = self.nodes[node].on_timer(id, &mut out);
             assert!(handled);
@@ -863,7 +857,7 @@ mod tests {
         // Stale generation: handled but no view change is emitted.
         node.submit(5, &mut out);
         let mut out2 = Outbox::new();
-        assert!(node.on_timer(TimerId::compose(0xAB, 0), &mut out2));
+        assert!(node.on_timer(TimerId::compose(PBFT_TIMER_KIND, 0), &mut out2));
         assert!(out2.is_empty());
     }
 

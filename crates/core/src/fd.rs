@@ -28,25 +28,23 @@ pub struct FailureDetector {
     /// Accumulated time spent waiting on each node.
     waited: HashMap<NodeId, Duration>,
     suspected: Vec<NodeId>,
-    enabled: bool,
 }
 
 impl FailureDetector {
     /// Creates a detector that suspects at most `capacity` (= f) nodes, each
     /// after `threshold` of accumulated waiting.
-    pub fn new(capacity: usize, threshold: Duration, enabled: bool) -> Self {
+    pub fn new(capacity: usize, threshold: Duration) -> Self {
         FailureDetector {
             capacity,
             threshold,
             waited: HashMap::new(),
             suspected: Vec::new(),
-            enabled,
         }
     }
 
     /// Whether `node` is currently suspected.
     pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.enabled && self.suspected.contains(&node)
+        self.suspected.contains(&node)
     }
 
     /// The current suspected list.
@@ -57,9 +55,6 @@ impl FailureDetector {
     /// Records that the local node waited `duration` for `node` (a timed-out
     /// WRB delivery with `node` as the proposer).
     pub fn record_wait(&mut self, node: NodeId, duration: Duration) {
-        if !self.enabled {
-            return;
-        }
         let total = self.waited.entry(node).or_insert(Duration::ZERO);
         *total += duration;
         if *total >= self.threshold
@@ -90,7 +85,7 @@ mod tests {
     use super::*;
 
     fn fd() -> FailureDetector {
-        FailureDetector::new(2, Duration::from_millis(100), true)
+        FailureDetector::new(2, Duration::from_millis(100))
     }
 
     #[test]
@@ -135,13 +130,5 @@ mod tests {
         assert!(d.suspected().is_empty());
         d.record_wait(NodeId(0), Duration::from_millis(50));
         assert!(!d.is_suspected(NodeId(0)));
-    }
-
-    #[test]
-    fn disabled_detector_never_suspects() {
-        let mut d = FailureDetector::new(2, Duration::from_millis(1), false);
-        d.record_wait(NodeId(0), Duration::from_secs(10));
-        assert!(!d.is_suspected(NodeId(0)));
-        assert!(d.suspected().is_empty());
     }
 }

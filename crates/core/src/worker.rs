@@ -41,7 +41,7 @@ use crate::sync::{ReplyGate, SyncStep, Synchronizer, TIMER_SYNC};
 use crate::timer::EmaTimer;
 use crate::txpool::TxPool;
 use crate::validity::{structurally_consistent, SharedValidity};
-use fireledger_bft::{Pbft, PbftConfig, ReliableBroadcast};
+use fireledger_bft::{Pbft, PbftConfig, ReliableBroadcast, PBFT_TIMER_KIND};
 use fireledger_crypto::{hash_header, merkle_root_into, verify_header_cached, SharedCrypto};
 use fireledger_exec::{prefix_for_header, root_lag, ClaimCheck, ExecShared};
 use fireledger_types::runtime::CpuCharge;
@@ -54,8 +54,6 @@ use std::collections::{HashMap, HashSet};
 
 /// Timer kind used for the per-round WRB delivery timeout.
 const TIMER_ROUND: u8 = 1;
-/// Timer kind handed to the embedded PBFT instance.
-const TIMER_PBFT: u8 = 0xAB;
 
 /// Votes arriving this many rounds ahead of the current attempt mean the
 /// cluster has definitively moved on without us (a healed partition, a long
@@ -163,19 +161,14 @@ impl Worker {
     ) -> Self {
         let cluster = params.cluster;
         let pbft_cfg = PbftConfig::new(cluster)
-            .with_timeout((params.base_timeout * 10).max(std::time::Duration::from_millis(200)))
-            .with_timer_kind(TIMER_PBFT);
+            .with_timeout((params.base_timeout * 10).max(std::time::Duration::from_millis(200)));
         let rotation = ProposerRotation::new(cluster);
         let proposer = rotation.initial();
         Worker {
             me,
             worker_id,
             timer: EmaTimer::new(params.base_timeout, params.max_timeout, params.ema_window),
-            fd: FailureDetector::new(
-                cluster.f,
-                params.base_timeout * params.fd_suspect_threshold,
-                params.failure_detector,
-            ),
+            fd: FailureDetector::new(cluster.f, params.base_timeout * params.fd_suspect_threshold),
             chain: Chain::new(cluster),
             txpool: TxPool::new(1_000_000 + me.0 as u64 * 1_000 + worker_id.0 as u64)
                 .with_fill_ops(params.fill_ops),
@@ -1495,7 +1488,7 @@ impl Protocol for Worker {
                 self.fd.record_wait(self.proposer, self.timer.current());
                 self.cast_vote(false, out);
             }
-            TIMER_PBFT => {
+            PBFT_TIMER_KIND => {
                 let mut sub = Outbox::new();
                 self.pbft.on_timer(timer, &mut sub);
                 out.extend(sub.map_msgs(WorkerMsg::Consensus));
@@ -1613,9 +1606,9 @@ mod tests {
 
     #[test]
     fn crashed_proposer_is_skipped_and_progress_continues() {
-        use fireledger_sim::adversary::CrashSchedule;
-        use fireledger_sim::SimTime;
-        let adv = CrashSchedule::new().crash(NodeId(3), SimTime::ZERO);
+        use fireledger_sim::PlanAdversary;
+        use fireledger_types::FaultPlan;
+        let adv = PlanAdversary::new(FaultPlan::named("crash").crash(NodeId(3), Duration::ZERO));
         let mut sim = Simulation::with_adversary(SimConfig::ideal(), cluster(4, 5), Box::new(adv));
         sim.run_for(Duration::from_secs(2));
         let chain = sim.node(NodeId(0)).chain();

@@ -198,7 +198,7 @@ pub(crate) fn run_node<P, E>(
     let i = me.as_usize();
     let mut timers: HashMap<TimerId, Instant> = HashMap::new();
     let mut out = Outbox::new();
-    let mut due: Vec<TimerId> = Vec::new();
+    let mut due: Vec<(Instant, TimerId)> = Vec::new();
     let mut alive: Option<P> = Some(node);
     if flags.killed[i].load(Ordering::SeqCst) {
         // Spawned dormant (a late-join entry pre-set the kill flag before
@@ -264,15 +264,22 @@ pub(crate) fn run_node<P, E>(
             // Down: timers that come due expire into the void.
             timers.retain(|_, deadline| *deadline > now);
         } else {
-            // Fire any due timers.
+            // Fire the due timers in deadline order, as the simulator does.
+            // A handler may cancel or re-arm a timer that came due in the
+            // same sweep; such a timer is skipped unless it is still armed
+            // and due.
             due.clear();
             due.extend(
                 timers
                     .iter()
                     .filter(|(_, deadline)| **deadline <= now)
-                    .map(|(id, _)| *id),
+                    .map(|(id, deadline)| (*deadline, *id)),
             );
-            for id in due.drain(..) {
+            due.sort_unstable();
+            for (_, id) in due.drain(..) {
+                if timers.get(&id).is_none_or(|deadline| *deadline > now) {
+                    continue;
+                }
                 timers.remove(&id);
                 let node = alive.as_mut().expect("not down implies alive");
                 node.on_timer(id, &mut out);
@@ -470,6 +477,49 @@ mod tests {
             let seen = self.seen.lock().unwrap().clone();
             seen
         }
+    }
+
+    /// Arms two zero-delay timers at start; each one's handler cancels the
+    /// other and records that it fired.
+    struct RivalTimers {
+        fired: Arc<Mutex<Vec<TimerId>>>,
+    }
+
+    const RIVALS: [TimerId; 2] = [TimerId(1), TimerId(2)];
+
+    impl Protocol for RivalTimers {
+        type Msg = u64;
+        fn node_id(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn on_start(&mut self, out: &mut Outbox<u64>) {
+            for id in RIVALS {
+                out.set_timer(id, Duration::ZERO);
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, _msg: u64, _out: &mut Outbox<u64>) {}
+        fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<u64>) {
+            self.fired.lock().unwrap().push(timer);
+            for id in RIVALS.into_iter().filter(|id| *id != timer) {
+                out.cancel_timer(id);
+            }
+        }
+    }
+
+    #[test]
+    fn a_timer_cancelled_earlier_in_the_same_sweep_does_not_fire() {
+        let (tx, rx) = channel();
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let node = RivalTimers {
+            fired: fired.clone(),
+        };
+        let (log, flags) = (Arc::new(DeliveryLog::new(1)), NodeFlags::new(1));
+        // Both timers are due by the loop's first sweep, which runs before
+        // the queued shutdown is read.
+        tx.send(NodeEvent::Shutdown).unwrap();
+        run_node(node, NodeId(0), rx, &mut NoEgress, log, flags, None);
+        let fired = fired.lock().unwrap().clone();
+        assert_eq!(fired.len(), 1, "both rivals fired: {fired:?}");
     }
 
     #[test]

@@ -47,9 +47,8 @@ use fireledger_types::{FaultPlan, LinkDecision, NodeId, Protocol, WireCodec};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Upper bound on frames drained per outbox refill: bounds the batch vector
@@ -76,59 +75,40 @@ fn frame_of<M: WireCodec>(msg: &M) -> Arc<Vec<u8>> {
     Arc::new(out)
 }
 
-/// Routes a node's outbound messages to its per-peer outboxes,
-/// encoding each message exactly once. A send addressed to the node itself
-/// loops back through its own event queue — the same semantics the
-/// simulator gives self-sends, with no socket involved.
+/// A frame parked on the fault plan's delay line: its release instant and its
+/// target in the flat `from * n + to` outbox table.
+type Parked = (Instant, usize, Arc<Vec<u8>>);
+
+/// Routes a node's outbound messages to its per-peer outboxes, encoding each
+/// message exactly once (one frame shared across a broadcast). A send
+/// addressed to the node itself loops back through its own event queue —
+/// the same semantics the simulator gives self-sends, with no socket
+/// involved, and exempt from any fault plan.
+///
+/// Under a fault plan the link shim sits **between the wire codec and the
+/// outboxes**: the *frame* is dropped, parked on the delay line, or queued
+/// twice per the link's decision, so every surviving copy still crosses a
+/// real socket.
 struct TcpEgress<M> {
     me: NodeId,
     writers: Vec<Option<Sender<Arc<Vec<u8>>>>>,
     loopback: Sender<NodeEvent<M>>,
+    /// The plan's link shim and the delay line's sender; `None` runs
+    /// fault-free.
+    faults: Option<(LinkShim, Sender<Parked>)>,
 }
 
-impl<M: WireCodec> Egress<M> for TcpEgress<M> {
-    fn send(&mut self, to: NodeId, msg: M) {
-        if to == self.me {
-            let _ = self
-                .loopback
-                .send(NodeEvent::Message { from: self.me, msg });
-        } else if let Some(Some(w)) = self.writers.get(to.as_usize()) {
-            let _ = w.send(frame_of(&msg));
-        }
-    }
-
-    fn broadcast(&mut self, msg: M) {
-        let frame = frame_of(&msg);
-        for w in self.writers.iter().flatten() {
-            let _ = w.send(frame.clone());
-        }
-    }
-}
-
-/// [`TcpEgress`] wrapped in the fault-plan link shim. The interceptor sits
-/// **between the wire codec and the per-peer outboxes**: messages are
-/// encoded and framed exactly once (shared across a broadcast, like the
-/// fault-free path), and the *frame* is then dropped, parked on the delay
-/// line, or queued twice per the link's decision — so every surviving copy
-/// still crosses a real socket. Self-sends loop back unintercepted, the
-/// same semantics the simulator gives them.
-struct ShimmedTcpEgress<M> {
-    me: NodeId,
-    n: usize,
-    writers: Vec<Option<Sender<Arc<Vec<u8>>>>>,
-    loopback: Sender<NodeEvent<M>>,
-    shim: LinkShim,
-    /// Delay-line targets are the flat outbox table (`from * n + to`).
-    delay: Sender<(Instant, usize, Arc<Vec<u8>>)>,
-}
-
-impl<M: WireCodec> ShimmedTcpEgress<M> {
+impl<M: WireCodec> TcpEgress<M> {
     fn route(&mut self, to: NodeId, frame: Arc<Vec<u8>>) {
         let Some(Some(w)) = self.writers.get(to.as_usize()) else {
             return;
         };
-        let slot = self.me.as_usize() * self.n + to.as_usize();
-        match self.shim.decide(self.me, to) {
+        let Some((shim, delay)) = &mut self.faults else {
+            let _ = w.send(frame);
+            return;
+        };
+        let slot = self.me.as_usize() * self.writers.len() + to.as_usize();
+        match shim.decide(self.me, to) {
             LinkDecision::Deliver => {
                 let _ = w.send(frame);
             }
@@ -137,33 +117,32 @@ impl<M: WireCodec> ShimmedTcpEgress<M> {
             // reorder coincide on real sockets (the simulator distinguishes
             // them because its links are otherwise perfectly FIFO).
             LinkDecision::Delay(d) | LinkDecision::Reorder(d) => {
-                let _ = self.delay.send((Instant::now() + d, slot, frame));
+                let _ = delay.send((Instant::now() + d, slot, frame));
             }
             LinkDecision::Duplicate(d) => {
                 let _ = w.send(frame.clone());
-                let _ = self.delay.send((Instant::now() + d, slot, frame));
+                let _ = delay.send((Instant::now() + d, slot, frame));
             }
         }
     }
 }
 
-impl<M: WireCodec> Egress<M> for ShimmedTcpEgress<M> {
+impl<M: WireCodec> Egress<M> for TcpEgress<M> {
     fn send(&mut self, to: NodeId, msg: M) {
         if to == self.me {
             let _ = self
                 .loopback
                 .send(NodeEvent::Message { from: self.me, msg });
-            return;
+        } else {
+            self.route(to, frame_of(&msg));
         }
-        let frame = frame_of(&msg);
-        self.route(to, frame);
     }
 
     fn broadcast(&mut self, msg: M) {
         let frame = frame_of(&msg);
-        for i in 0..self.n {
-            if i != self.me.as_usize() {
-                self.route(NodeId(i as u32), frame.clone());
+        for to in 0..self.writers.len() {
+            if to != self.me.as_usize() {
+                self.route(NodeId(to as u32), frame.clone());
             }
         }
     }
@@ -245,37 +224,28 @@ where
             )
         });
 
-        let writers_of = |i: usize| writers[i * n..(i + 1) * n].to_vec();
-        let loopback = |i: usize| evt_senders[i].clone();
-        let (node_handles, delay) = match faults {
-            None => {
-                let egresses = (0..n)
-                    .map(|i| TcpEgress {
-                        me: NodeId(i as u32),
-                        writers: writers_of(i),
-                        loopback: loopback(i),
-                    })
-                    .collect();
-                let handles = spawn_nodes(nodes, receivers, egresses, &log, &flags, rebuild);
-                (handles, None)
-            }
-            Some(plan) => {
-                let delay = DelayLine::new(writers.clone());
-                let start = log.start();
-                let egresses = (0..n)
-                    .map(|i| ShimmedTcpEgress {
-                        me: NodeId(i as u32),
-                        n,
-                        writers: writers_of(i),
-                        loopback: loopback(i),
-                        shim: LinkShim::new(plan.clone(), start),
-                        delay: delay.sender(),
-                    })
-                    .collect();
-                let handles = spawn_nodes(nodes, receivers, egresses, &log, &flags, rebuild);
-                (handles, Some(delay))
-            }
-        };
+        // One protocol thread per node, each sending through its own egress
+        // (shimmed when a plan is given, the plan's clock starting now).
+        let delay = faults.as_ref().map(|_| DelayLine::new(writers.clone()));
+        let node_handles = nodes
+            .into_iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(i, (node, rx))| {
+                let mut egress = TcpEgress {
+                    me: NodeId(i as u32),
+                    writers: writers[i * n..(i + 1) * n].to_vec(),
+                    loopback: evt_senders[i].clone(),
+                    faults: faults.as_ref().zip(delay.as_ref()).map(|(plan, delay)| {
+                        (LinkShim::new(plan.clone(), log.start()), delay.sender())
+                    }),
+                };
+                let (log, flags, rebuild) = (log.clone(), flags.clone(), rebuild.clone());
+                std::thread::spawn(move || {
+                    run_node(node, NodeId(i as u32), rx, &mut egress, log, flags, rebuild);
+                })
+            })
+            .collect();
         Ok(RealtimeCluster {
             evt_senders,
             log,
@@ -288,35 +258,6 @@ where
             rpc_clients: Mutex::new((0..n).map(|_| None).collect()),
         })
     }
-}
-
-/// Starts one thread per node — `nodes[i]` reading `receivers[i]` and
-/// sending through `egresses[i]`.
-fn spawn_nodes<P, E>(
-    nodes: Vec<P>,
-    receivers: Vec<Receiver<NodeEvent<P::Msg>>>,
-    egresses: Vec<E>,
-    log: &Arc<DeliveryLog>,
-    flags: &NodeFlags,
-    rebuild: Option<Rebuild<P>>,
-) -> Vec<JoinHandle<()>>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    E: Egress<P::Msg> + Send + 'static,
-{
-    nodes
-        .into_iter()
-        .zip(receivers)
-        .zip(egresses)
-        .enumerate()
-        .map(|(i, ((node, rx), mut egress))| {
-            let (log, flags, rebuild) = (log.clone(), flags.clone(), rebuild.clone());
-            std::thread::spawn(move || {
-                run_node(node, NodeId(i as u32), rx, &mut egress, log, flags, rebuild);
-            })
-        })
-        .collect()
 }
 
 /// Binds one listener per node and dials the static full mesh: node `i`

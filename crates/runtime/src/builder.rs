@@ -20,7 +20,6 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The behaviour assigned to one node of a cluster.
 ///
@@ -57,12 +56,11 @@ use std::time::Duration;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum NodeRole {
-    /// An honest node that follows the protocol.
+    /// An honest node that follows the protocol. (An honest node that
+    /// crashes is a [`FaultPlan::crash`](fireledger_types::FaultPlan::crash)
+    /// entry, not a role.)
     #[default]
     Correct,
-    /// An honest node that crashes (stops participating) at the given offset
-    /// from the start of the run. The crash itself is enacted by the runtime.
-    CrashAt(Duration),
     /// A Byzantine node that equivocates on every block it proposes (§7.4.2).
     Equivocate,
     /// A Byzantine node that participates in voting but never disseminates
@@ -71,13 +69,9 @@ pub enum NodeRole {
 }
 
 impl NodeRole {
-    /// True for the Byzantine variants that require protocol-level support.
+    /// True for the Byzantine variants — every role other than
+    /// [`NodeRole::Correct`] — which require protocol-level support.
     pub fn is_byzantine(&self) -> bool {
-        matches!(self, NodeRole::Equivocate | NodeRole::SilentProposer)
-    }
-
-    /// True for any role other than [`NodeRole::Correct`].
-    pub fn is_faulty(&self) -> bool {
         !matches!(self, NodeRole::Correct)
     }
 }
@@ -183,7 +177,7 @@ impl ClusterProtocol for ClusterNode {
             ctx.validity.clone(),
         );
         Ok(match role {
-            NodeRole::Correct | NodeRole::CrashAt(_) => ClusterNode::Honest(flo),
+            NodeRole::Correct => ClusterNode::Honest(flo),
             NodeRole::Equivocate => {
                 ClusterNode::Equivocating(EquivocatingNode::new(flo, ctx.crypto.clone()))
             }
@@ -548,20 +542,8 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
         self.roles
             .iter()
             .enumerate()
-            .filter(|(_, r)| !r.is_faulty())
+            .filter(|(_, r)| !r.is_byzantine())
             .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
-    /// The `(node, offset)` pairs of all [`NodeRole::CrashAt`] roles.
-    pub fn crash_times(&self) -> Vec<(NodeId, Duration)> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r {
-                NodeRole::CrashAt(at) => Some((NodeId(i as u32), *at)),
-                _ => None,
-            })
             .collect()
     }
 
@@ -600,16 +582,15 @@ impl<P: ClusterProtocol> ClusterBuilder<P> {
     ///
     /// # The fault-budget invariant
     ///
-    /// The combined number of faulty roles — [`NodeRole::CrashAt`] plus the
-    /// Byzantine variants — must not exceed the cluster's tolerance
-    /// `f = ⌊(n − 1) / 3⌋`. BFT safety and liveness are only guaranteed up
-    /// to `f` faults, so a role map that schedules more is a mis-configured
-    /// experiment whose results would be meaningless; it fails here with
-    /// [`Error::FaultBudgetExceeded`] instead of silently running.
-    /// (Scenario-level crash events and fault-plan node faults are validated
-    /// against the same budget by the runtimes, which see both sides.)
+    /// The number of Byzantine roles must not exceed the cluster's
+    /// tolerance `f = ⌊(n − 1) / 3⌋`. BFT safety and liveness are only
+    /// guaranteed up to `f` faults, so a role map that schedules more is a
+    /// mis-configured experiment whose results would be meaningless; it
+    /// fails here with [`Error::FaultBudgetExceeded`] instead of silently
+    /// running. (The runtimes check the same budget over the union of the
+    /// roles and the fault plan's node faults, which only they see.)
     pub fn build(&self) -> Result<Vec<P>> {
-        let faulty = self.roles.iter().filter(|r| r.is_faulty()).count();
+        let faulty = self.roles.iter().filter(|r| r.is_byzantine()).count();
         let f = self.params.f();
         if faulty > f {
             return Err(Error::FaultBudgetExceeded { faulty, f });
@@ -788,30 +769,17 @@ mod tests {
     }
 
     #[test]
-    fn crash_roles_build_honest_nodes_and_report_times() {
-        let b = ClusterBuilder::<FloCluster>::new(params(4))
-            .with_role(NodeId(3), NodeRole::CrashAt(Duration::from_millis(100)));
-        let nodes = b.build().unwrap();
-        assert!(matches!(nodes[3], ClusterNode::Honest(_)));
-        assert_eq!(
-            b.crash_times(),
-            vec![(NodeId(3), Duration::from_millis(100))]
-        );
-        assert_eq!(b.correct_nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
     fn fault_budget_over_f_is_a_typed_build_error() {
-        // n = 4 tolerates f = 1: one crash role is fine, a second faulty
-        // role of either flavour busts the budget.
-        let ok = ClusterBuilder::<FloCluster>::new(params(4))
-            .with_role(NodeId(3), NodeRole::CrashAt(Duration::ZERO));
+        // n = 4 tolerates f = 1: one Byzantine role is fine, a second busts
+        // the budget.
+        let ok =
+            ClusterBuilder::<FloCluster>::new(params(4)).with_role(NodeId(3), NodeRole::Equivocate);
         assert!(ok.build().is_ok());
 
-        let crash_plus_byz = ClusterBuilder::<FloCluster>::new(params(4))
-            .with_role(NodeId(2), NodeRole::CrashAt(Duration::ZERO))
+        let two_byz = ClusterBuilder::<FloCluster>::new(params(4))
+            .with_role(NodeId(2), NodeRole::SilentProposer)
             .with_role(NodeId(3), NodeRole::Equivocate);
-        match crash_plus_byz.build() {
+        match two_byz.build() {
             Err(Error::FaultBudgetExceeded { faulty, f }) => {
                 assert_eq!((faulty, f), (2, 1));
             }
@@ -819,16 +787,16 @@ mod tests {
             Ok(_) => panic!("over-budget role map must not build"),
         }
 
-        let two_crashes = ClusterBuilder::<FloCluster>::new(params(4))
-            .with_last_k(2, NodeRole::CrashAt(Duration::ZERO));
+        let two_tail =
+            ClusterBuilder::<FloCluster>::new(params(4)).with_last_k(2, NodeRole::SilentProposer);
         assert!(matches!(
-            two_crashes.build(),
+            two_tail.build(),
             Err(Error::FaultBudgetExceeded { faulty: 2, f: 1 })
         ));
 
-        // n = 7 tolerates f = 2: crash + equivocate together stay legal.
+        // n = 7 tolerates f = 2: the same two roles stay legal.
         let n7 = ClusterBuilder::<FloCluster>::new(params(7))
-            .with_role(NodeId(5), NodeRole::CrashAt(Duration::ZERO))
+            .with_role(NodeId(5), NodeRole::SilentProposer)
             .with_role(NodeId(6), NodeRole::Equivocate);
         assert!(n7.build().is_ok());
     }

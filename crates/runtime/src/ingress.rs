@@ -271,7 +271,7 @@ impl RpcHandler for ClusterIngress {
 }
 
 /// Per-node downtime windows `(node, from_nanos, to_nanos)` compiled from a
-/// scenario's crash events and fault plan, each opened `guard` early: the
+/// scenario's fault plan, each opened `guard` early: the
 /// driver flips the node's gate to `Down` *before* the fault lands, so no
 /// submission is accepted into a pool that is about to stop listening —
 /// the knowable half of the accepted-then-lost contract. (The gate mirror
@@ -280,9 +280,6 @@ pub(crate) fn planned_down_windows(scenario: &Scenario, guard: Duration) -> Vec<
     let nanos = |d: Duration| d.as_nanos() as u64;
     let lead = |d: Duration| nanos(d.saturating_sub(guard));
     let mut windows: Vec<(usize, u64, u64)> = Vec::new();
-    for fault in &scenario.crashes {
-        windows.push((fault.node.as_usize(), lead(fault.at), u64::MAX));
-    }
     if let Some(plan) = &scenario.faults {
         for nf in &plan.node_faults {
             let to = nf.recover_at.map_or(u64::MAX, nanos);
@@ -864,11 +861,15 @@ mod tests {
     #[test]
     fn planned_windows_open_early_and_close_on_recovery() {
         use fireledger_types::FaultPlan;
-        let s = Scenario::new("w").with_faults(FaultPlan::named("cr").crash_recover(
-            NodeId(1),
-            Duration::from_millis(100),
-            Duration::from_millis(200),
-        ));
+        let s = Scenario::new("w").with_faults(
+            FaultPlan::named("cr")
+                .crash_recover(
+                    NodeId(1),
+                    Duration::from_millis(100),
+                    Duration::from_millis(200),
+                )
+                .crash(NodeId(2), Duration::from_millis(300)),
+        );
         let windows = planned_down_windows(&s, Duration::from_millis(20));
         assert!(planned_down(
             &windows,
@@ -895,5 +896,18 @@ mod tests {
             0,
             Duration::from_millis(150).as_nanos() as u64
         ));
+        // A permanent crash opens its window early and never closes it.
+        assert!(!planned_down(
+            &windows,
+            2,
+            Duration::from_millis(279).as_nanos() as u64
+        ));
+        assert!(planned_down(
+            &windows,
+            2,
+            Duration::from_millis(281).as_nanos() as u64
+        ));
+        assert!(planned_down(&windows, 2, u64::MAX - 1));
+        assert!(windows.contains(&(2, Duration::from_millis(280).as_nanos() as u64, u64::MAX)));
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! * [`ClusterBuilder`] assembles a cluster of any [`ClusterProtocol`] from
 //!   [`ProtocolParams`](fireledger_types::ProtocolParams) plus a per-node
-//!   [`NodeRole`] map (correct / crash-at / equivocate / silent-proposer);
+//!   [`NodeRole`] map (correct / equivocate / silent-proposer);
 //! * [`Scenario`] describes the topology (single-DC, geo, custom latency
 //!   matrix), the workload (saturated, open-loop rate, closed-loop clients)
-//!   and the fault schedule with absolute trigger times;
+//!   and the [`FaultPlan`](fireledger_types::FaultPlan) — every crash and
+//!   network fault, at absolute trigger times;
 //! * a [`Runtime`] — [`Simulator`] (deterministic discrete events) or
 //!   [`Tcp`] (one OS thread per node, wall-clock time, over a real
 //!   localhost `TcpStream` mesh speaking the binary wire format of
@@ -57,16 +58,15 @@ pub use fireledger_net::DEFAULT_REACTOR_THREADS;
 pub use ingress::{ClientFleet, ClusterIngress, IngressLoad, PayloadKind};
 pub use report::{ExecutionReport, IngressLaneReport, IngressReport, NodeDeliveries, RunReport};
 pub use run::{check_delivery_prefixes, Runtime, Simulator, Tcp};
-pub use scenario::{FaultEvent, Scenario, Topology, Workload};
+pub use scenario::{Scenario, Topology, Workload};
 
 /// Everything a typical experiment needs, re-exported for
 /// `use fireledger_runtime::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        check_delivery_prefixes, ClusterBuilder, ClusterProtocol, ExecutionReport, FaultEvent,
-        FloCluster, IngressLaneReport, IngressLoad, IngressReport, NodeDeliveries, NodeRole,
-        PayloadKind, RunReport, Runtime, Scenario, Simulator, Tcp, Topology, Workload,
-        DEFAULT_REACTOR_THREADS,
+        check_delivery_prefixes, ClusterBuilder, ClusterProtocol, ExecutionReport, FloCluster,
+        IngressLaneReport, IngressLoad, IngressReport, NodeDeliveries, NodeRole, PayloadKind,
+        RunReport, Runtime, Scenario, Simulator, Tcp, Topology, Workload, DEFAULT_REACTOR_THREADS,
     };
     pub use fireledger::{AcceptAll, ClusterNode, FloNode, Worker};
     pub use fireledger_baselines::{BftSmartNode, HotStuffNode};
@@ -136,29 +136,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn crash_role_and_scenario_fault_agree() {
-        // Crashing via a builder role and via a scenario fault event produce
-        // the same simulated execution.
-        let by_role = Simulator
-            .run(
-                &ClusterBuilder::<FloCluster>::new(params(4))
-                    .with_role(NodeId(3), NodeRole::CrashAt(Duration::ZERO)),
-                &quick(),
-            )
-            .unwrap();
-        let by_scenario = Simulator
-            .run(
-                &ClusterBuilder::<FloCluster>::new(params(4)),
-                &quick().crash(NodeId(3), Duration::ZERO),
-            )
-            .unwrap();
-        assert!(by_role.tps > 0.0);
-        assert_eq!(by_role.per_node[3].blocks, 0);
-        assert_eq!(by_scenario.per_node[3].blocks, 0);
-        assert_eq!(by_role.per_node[0].blocks, by_scenario.per_node[0].blocks);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::report::{ExecutionReport, NodeDeliveries, RunReport};
 use crate::scenario::Scenario;
 use fireledger::Availability;
 use fireledger_net::RealtimeCluster;
-use fireledger_sim::{Adversary, LateJoinAdversary, PlanAdversary, SimTime, Simulation};
+use fireledger_sim::{
+    Adversary, LateJoinAdversary, PassThrough, PlanAdversary, SimTime, Simulation,
+};
 use fireledger_types::{Delivery, DiskFault, Error, FaultPlan, NodeId, Result, Transaction};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -73,7 +75,7 @@ pub trait Runtime {
 }
 
 /// The nodes to average rate metrics over: correct by role and not faulted
-/// (crashed or crash-recovered) by the scenario or its fault plan. A
+/// (crashed, crash-recovered or killed) by the scenario's fault plan. A
 /// late-join node is excluded too — it was down for most of the window.
 fn measured_nodes<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
@@ -89,10 +91,10 @@ fn measured_nodes<P: ClusterProtocol>(
 }
 
 /// Enforces the fault-budget invariant across *both* fault surfaces: the
-/// builder's role map and the scenario's crash events / fault-plan node
-/// faults together must not schedule more than `f` faulty nodes. The
-/// builder re-checks its own half in `build()`; this check sees the union
-/// (a node that is both role-crashed and scenario-crashed counts once).
+/// builder's Byzantine roles and the fault plan's node faults together must
+/// not schedule more than `f` faulty nodes. The builder re-checks its own
+/// half in `build()`; this check sees the union (a node that is both
+/// Byzantine and plan-faulted counts once).
 fn validate_fault_budget<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
@@ -101,7 +103,7 @@ fn validate_fault_budget<P: ClusterProtocol>(
         .roles()
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.is_faulty())
+        .filter(|(_, r)| r.is_byzantine())
         .map(|(i, _)| NodeId(i as u32))
         .collect();
     faulty.extend(scenario.faulted_nodes());
@@ -319,13 +321,11 @@ impl Runtime for Simulator {
         validate_fault_budget(cluster, scenario)?;
         let nodes = cluster.build()?;
         let n = nodes.len();
-        // The scenario's crash events and builder crash roles always apply;
-        // a fault plan layers the full drop/delay/reorder/duplicate +
-        // partition + crash-recover adversity on top through the same hook.
-        let crashes = scenario.crash_schedule(&cluster.crash_times());
+        // The fault plan — link faults, partitions and node faults — is the
+        // one adversary; a run without one passes every message through.
         let mut adversary: Box<dyn Adversary<P::Msg>> = match scenario.faults.clone() {
-            Some(plan) => Box::new(PlanAdversary::new(plan, crashes)),
-            None => Box::new(crashes),
+            Some(plan) => Box::new(PlanAdversary::new(plan)),
+            None => Box::new(PassThrough),
         };
         // A late-join node is gated off the network (and reported crashed)
         // until the driver flips the join flag at its join round.
@@ -528,16 +528,15 @@ enum TimelineEvent {
 }
 
 /// Drives an already-spawned real-time cluster through the scenario's
-/// timeline (crashes, crash-recover pauses and injections at wall-clock
-/// offsets), honours the warm-up window, and assembles the report. Link
-/// faults and partitions are *not* driven from
-/// here: they were compiled into the cluster's link shim at spawn time; this
-/// timeline carries only the node-level events.
+/// timeline (the fault plan's crashes, crash-recover pauses, kills and
+/// restarts, and injections at wall-clock offsets), honours the warm-up
+/// window, and assembles the report. Link faults and partitions are *not*
+/// driven from here: they were compiled into the cluster's link shim at
+/// spawn time; this timeline carries only the node-level events.
 fn drive_realtime<P: ClusterProtocol>(
     running: RealtimeCluster<P::Msg>,
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
-    runtime_name: &str,
     ingress: Option<std::sync::Arc<ClusterIngress>>,
 ) -> (RunReport, Vec<Vec<Delivery>>) {
     // Sleeping towards a deadline is replaced by short stepped waits when
@@ -570,17 +569,11 @@ fn drive_realtime<P: ClusterProtocol>(
 
     let n = cluster.params().n();
     let mut timeline: Vec<(Duration, TimelineEvent)> = Vec::new();
-    for fault in &scenario.crashes {
-        timeline.push((fault.at, TimelineEvent::Crash(fault.node)));
-    }
-    for (node, at) in cluster.crash_times() {
-        timeline.push((at, TimelineEvent::Crash(node)));
-    }
     if let Some(plan) = &scenario.faults {
         for nf in &plan.node_faults {
             match nf.recover_at {
                 // A crash-recover fault pauses (state kept) and resumes;
-                // a plain plan crash is as permanent as a scenario crash.
+                // a plain crash is permanent.
                 Some(recover) => {
                     timeline.push((nf.crash_at, TimelineEvent::Pause(nf.node)));
                     timeline.push((recover, TimelineEvent::Resume(nf.node)));
@@ -785,7 +778,7 @@ fn drive_realtime<P: ClusterProtocol>(
     let report = RunReport {
         protocol: P::NAME.to_string(),
         scenario: scenario.name.clone(),
-        runtime: runtime_name.to_string(),
+        runtime: Tcp.name().to_string(),
         fault_plan: scenario.fault_plan_name(),
         durability: cluster.durability_label(),
         n,
@@ -825,7 +818,6 @@ fn realtime_ingress(scenario: &Scenario, n: usize) -> Option<std::sync::Arc<Clus
 fn run_realtime<P: ClusterProtocol>(
     cluster: &ClusterBuilder<P>,
     scenario: &Scenario,
-    runtime_name: &str,
 ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
     validate_fault_budget(cluster, scenario)?;
     let nodes = cluster.build()?;
@@ -840,13 +832,7 @@ fn run_realtime<P: ClusterProtocol>(
             .serve_rpc(ci.clone())
             .map_err(|e| Error::Io(format!("rpc listeners: {e}")))?;
     }
-    Ok(drive_realtime(
-        running,
-        cluster,
-        scenario,
-        runtime_name,
-        ingress,
-    ))
+    Ok(drive_realtime(running, cluster, scenario, ingress))
 }
 
 /// The real-time runtime: one OS thread per node on a real localhost
@@ -882,6 +868,6 @@ impl Runtime for Tcp {
         cluster: &ClusterBuilder<P>,
         scenario: &Scenario,
     ) -> Result<(RunReport, Vec<Vec<Delivery>>)> {
-        run_realtime(cluster, scenario, self.name())
+        run_realtime(cluster, scenario)
     }
 }

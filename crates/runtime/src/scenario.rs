@@ -1,13 +1,14 @@
 //! Scenario descriptions: topology × workload × fault schedule × duration.
 //!
 //! A [`Scenario`] is a plain value describing *what happens to a cluster* —
-//! which network it runs on, how clients load it, which nodes crash when, and
-//! for how long the experiment runs. The same value is consumed identically
-//! by every [`crate::Runtime`], so one scenario definition drives both the
-//! deterministic simulator and the real-time socket cluster.
+//! which network it runs on, how clients load it, which faults its
+//! [`FaultPlan`] injects when, and for how long the experiment runs. The
+//! same value is consumed identically by every [`crate::Runtime`], so one
+//! scenario definition drives both the deterministic simulator and the
+//! real-time socket cluster.
 
 use fireledger_crypto::CostModel;
-use fireledger_sim::{CrashSchedule, LatencyModel, SimConfig, SimTime, TxInjector};
+use fireledger_sim::{LatencyModel, SimConfig, SimTime, TxInjector};
 use fireledger_types::{FaultPlan, NodeId, Transaction};
 use std::time::Duration;
 
@@ -53,15 +54,6 @@ pub enum Workload {
     },
 }
 
-/// One scheduled fault: `node` crashes `at` after the run starts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// The crashing node.
-    pub node: NodeId,
-    /// Absolute trigger time (offset from the start of the run).
-    pub at: Duration,
-}
-
 /// A complete experiment description.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -71,13 +63,11 @@ pub struct Scenario {
     pub topology: Topology,
     /// Client workload.
     pub workload: Workload,
-    /// Crash-fault schedule with absolute trigger times.
-    pub crashes: Vec<FaultEvent>,
     /// The declarative network/node adversity applied to the run: link
-    /// faults, partitions and crash-recover node faults, compiled into the
-    /// matching interceptor on every runtime (see `docs/SCENARIOS.md`).
-    /// `None` runs fault-free (modulo [`Scenario::crashes`] and builder
-    /// roles).
+    /// faults, partitions, crashes, crash-recover and kill-restart node
+    /// faults, compiled into the matching interceptor on every runtime (see
+    /// `docs/SCENARIOS.md`). `None` runs fault-free; Byzantine behaviour is
+    /// a builder role, not a fault.
     pub faults: Option<FaultPlan>,
     /// Total run length.
     pub duration: Duration,
@@ -108,7 +98,6 @@ impl Scenario {
             name: name.into(),
             topology: Topology::SingleDc,
             workload: Workload::Saturated,
-            crashes: Vec::new(),
             faults: None,
             duration: Duration::from_secs(2),
             warmup: Duration::from_millis(200),
@@ -169,14 +158,8 @@ impl Scenario {
         self
     }
 
-    /// Schedules `node` to crash `at` after the start.
-    pub fn crash(mut self, node: NodeId, at: Duration) -> Self {
-        self.crashes.push(FaultEvent { node, at });
-        self
-    }
-
     /// Attaches a declarative [`FaultPlan`] — link faults, partitions and
-    /// crash-recover node faults, applied identically by every runtime.
+    /// node faults (crashes included), applied identically by every runtime.
     /// The canonical plans live in [`crate::catalog`]; the normative
     /// catalog with one snippet per plan is `docs/SCENARIOS.md`.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -192,18 +175,6 @@ impl Scenario {
     /// latency percentiles.
     pub fn with_ingress(mut self, load: crate::ingress::IngressLoad) -> Self {
         self.ingress = Some(load);
-        self
-    }
-
-    /// Schedules the last `f` of `n` nodes to crash at `at` — the shape of
-    /// the benign-failure experiment (§7.4.1).
-    pub fn crash_last_f(mut self, n: usize, f: usize, at: Duration) -> Self {
-        for i in n.saturating_sub(f)..n {
-            self.crashes.push(FaultEvent {
-                node: NodeId(i as u32),
-                at,
-            });
-        }
         self
     }
 
@@ -284,36 +255,13 @@ impl Scenario {
         cfg
     }
 
-    /// The crash schedule over both this scenario's fault events and the
-    /// builder-level `CrashAt` roles passed in by the runtime.
-    pub fn crash_schedule(&self, extra: &[(NodeId, Duration)]) -> CrashSchedule {
-        let mut schedule = CrashSchedule::new();
-        for fault in &self.crashes {
-            schedule = schedule.crash(fault.node, SimTime::ZERO + fault.at);
-        }
-        for (node, at) in extra {
-            schedule = schedule.crash(*node, SimTime::ZERO + *at);
-        }
-        schedule
-    }
-
-    /// The nodes this scenario crashes (regardless of trigger time).
-    pub fn crashed_nodes(&self) -> Vec<NodeId> {
-        self.crashes.iter().map(|f| f.node).collect()
-    }
-
-    /// Every node this scenario faults at any point: scenario crash events
-    /// plus the fault plan's node faults (crash-recover included — a node
-    /// that was down for part of the window would bias rate averages).
-    /// Run reports exclude these nodes from rate metrics.
+    /// Every node the fault plan faults at any point (crash-recover
+    /// included — a node that was down for part of the window would bias
+    /// rate averages). Run reports exclude these nodes from rate metrics.
     pub fn faulted_nodes(&self) -> Vec<NodeId> {
-        let mut nodes = self.crashed_nodes();
-        if let Some(plan) = &self.faults {
-            nodes.extend(plan.faulted_nodes());
-        }
-        nodes.sort_by_key(|n| n.0);
-        nodes.dedup();
-        nodes
+        self.faults
+            .as_ref()
+            .map_or_else(Vec::new, FaultPlan::faulted_nodes)
     }
 
     /// The fault-plan name recorded in run reports (`"none"` when the
@@ -388,20 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_helpers_fill_the_schedule() {
-        let s = Scenario::new("f")
-            .crash(NodeId(1), Duration::from_millis(50))
-            .crash_last_f(7, 2, Duration::from_millis(100));
-        assert_eq!(s.crashes.len(), 3);
-        assert_eq!(s.crashed_nodes(), vec![NodeId(1), NodeId(5), NodeId(6)]);
-        let schedule = s.crash_schedule(&[(NodeId(0), Duration::ZERO)]);
-        assert_eq!(
-            schedule.correct_nodes(7),
-            vec![NodeId(2), NodeId(3), NodeId(4)]
-        );
-    }
-
-    #[test]
     fn explicit_warmup_survives_run_for_in_any_order() {
         let before = Scenario::new("w")
             .with_warmup(Duration::ZERO)
@@ -422,19 +356,17 @@ mod tests {
         assert_eq!(bare.fault_plan_name(), "none");
         assert!(bare.faulted_nodes().is_empty());
 
-        let plan = FaultPlan::named("adversity").crash_recover(
-            NodeId(2),
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-        );
-        let s = Scenario::new("s")
-            .crash(NodeId(1), Duration::ZERO)
-            .with_faults(plan);
+        let plan = FaultPlan::named("adversity")
+            .crash_recover(
+                NodeId(2),
+                Duration::from_millis(10),
+                Duration::from_millis(20),
+            )
+            .crash(NodeId(1), Duration::ZERO);
+        let s = Scenario::new("s").with_faults(plan);
         assert_eq!(s.fault_plan_name(), "adversity");
-        // Scenario crashes and plan node faults merge, sorted and deduped.
+        // Crashes and crash-recover faults both count, sorted.
         assert_eq!(s.faulted_nodes(), vec![NodeId(1), NodeId(2)]);
-        // crashed_nodes keeps its pre-plan meaning.
-        assert_eq!(s.crashed_nodes(), vec![NodeId(1)]);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Fault injection: crashes, omissions and Byzantine message manipulation.
+//! Fault injection: the hook every simulated message passes through.
 //!
 //! The simulator calls the [`Adversary`] hook for every message about to be
-//! scheduled. The hook may pass the message through, drop it, delay it, or —
-//! for scripted Byzantine senders — replace it (equivocation). Concrete
-//! Byzantine behaviours that need to understand FireLedger's message format
-//! (e.g. "send different blocks to two halves of the cluster", §7.4.2) are
-//! implemented next to the protocol in `fireledger`; this module provides the
-//! generic hook plus protocol-agnostic faults (crash, omission).
+//! scheduled. The hook may pass the message through, drop it, delay it, or
+//! duplicate it. Every protocol-agnostic fault — crashes, omissions, link
+//! adversity, partitions — is a [`FaultPlan`] entry, compiled here into
+//! [`PlanAdversary`]. Byzantine behaviours that need to understand
+//! FireLedger's message format (e.g. "send different blocks to two halves of
+//! the cluster", §7.4.2) are node roles implemented next to the protocol in
+//! `fireledger`.
 
 use crate::time::SimTime;
 use fireledger_types::{FaultPlan, LinkDecision, LinkFaultEngine, NodeId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,117 +56,20 @@ impl<M> Adversary<M> for PassThrough {
     }
 }
 
-/// Crash-fault schedule: each listed node stops participating at its crash
-/// time (all of its workers stop with it, §7.4.1).
-#[derive(Clone, Debug, Default)]
-pub struct CrashSchedule {
-    crashes: HashMap<NodeId, SimTime>,
-}
-
-impl CrashSchedule {
-    /// Creates an empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `node` to crash at `at`.
-    pub fn crash(mut self, node: NodeId, at: SimTime) -> Self {
-        self.crashes.insert(node, at);
-        self
-    }
-
-    /// Crashes the last `f` nodes of an `n`-node cluster at `at` — the shape
-    /// of the benign-failure experiment (§7.4.1).
-    pub fn crash_last_f(n: usize, f: usize, at: SimTime) -> Self {
-        let mut s = CrashSchedule::new();
-        for i in (n - f)..n {
-            s.crashes.insert(NodeId(i as u32), at);
-        }
-        s
-    }
-
-    /// The nodes that never crash.
-    pub fn correct_nodes(&self, n: usize) -> Vec<NodeId> {
-        (0..n as u32)
-            .map(NodeId)
-            .filter(|id| !self.crashes.contains_key(id))
-            .collect()
-    }
-
-    /// True when `node` has crashed by time `now`.
-    pub fn crashed(&self, node: NodeId, now: SimTime) -> bool {
-        self.crashes.get(&node).is_some_and(|t| now >= *t)
-    }
-}
-
-impl<M> Adversary<M> for CrashSchedule {
-    fn intercept(&mut self, from: NodeId, to: NodeId, msg: M, now: SimTime) -> Fate<M> {
-        if self.crashed(from, now) || self.crashed(to, now) {
-            Fate::Drop
-        } else {
-            Fate::Deliver(msg)
-        }
-    }
-
-    fn is_crashed(&self, node: NodeId, now: SimTime) -> bool {
-        self.crashed(node, now)
-    }
-}
-
-/// Drops a fixed fraction of messages from a set of lossy senders — used to
-/// exercise the omission-failure column of Table 1. Dropping is deterministic
-/// (every k-th message) so experiments stay reproducible.
-#[derive(Clone, Debug)]
-pub struct OmissionFaults {
-    lossy: Vec<NodeId>,
-    drop_every: u64,
-    counter: u64,
-}
-
-impl OmissionFaults {
-    /// Every `drop_every`-th message from a node in `lossy` is dropped.
-    pub fn new(lossy: Vec<NodeId>, drop_every: u64) -> Self {
-        OmissionFaults {
-            lossy,
-            drop_every: drop_every.max(1),
-            counter: 0,
-        }
-    }
-}
-
-impl<M> Adversary<M> for OmissionFaults {
-    fn intercept(&mut self, from: NodeId, _to: NodeId, msg: M, _now: SimTime) -> Fate<M> {
-        if self.lossy.contains(&from) {
-            self.counter += 1;
-            if self.counter.is_multiple_of(self.drop_every) {
-                return Fate::Drop;
-            }
-        }
-        Fate::Deliver(msg)
-    }
-}
-
 /// The adversary compiled from a declarative [`FaultPlan`]: link faults,
 /// partitions and node faults are all decided by the shared
 /// [`LinkFaultEngine`], so the simulator injects *exactly* the adversity the
 /// real-time runtimes' interceptors inject for the same plan.
-///
-/// Scenario- and builder-level crash events (the pre-plan fault surface)
-/// are merged in through an extra [`CrashSchedule`], so one adversary covers
-/// both fault vocabularies.
 #[derive(Clone, Debug)]
 pub struct PlanAdversary {
     engine: LinkFaultEngine,
-    extra: CrashSchedule,
 }
 
 impl PlanAdversary {
-    /// Builds the adversary for `plan`, merging the scenario/builder crash
-    /// schedule `extra`.
-    pub fn new(plan: FaultPlan, extra: CrashSchedule) -> Self {
+    /// Builds the adversary for `plan`.
+    pub fn new(plan: FaultPlan) -> Self {
         PlanAdversary {
             engine: LinkFaultEngine::new(plan),
-            extra,
         }
     }
 
@@ -178,9 +81,6 @@ impl PlanAdversary {
 
 impl<M: Clone> Adversary<M> for PlanAdversary {
     fn intercept(&mut self, from: NodeId, to: NodeId, msg: M, now: SimTime) -> Fate<M> {
-        if self.extra.crashed(from, now) || self.extra.crashed(to, now) {
-            return Fate::Drop;
-        }
         match self.engine.decide(from, to, now.as_duration()) {
             LinkDecision::Deliver => Fate::Deliver(msg),
             LinkDecision::Drop => Fate::Drop,
@@ -191,7 +91,7 @@ impl<M: Clone> Adversary<M> for PlanAdversary {
     }
 
     fn is_crashed(&self, node: NodeId, now: SimTime) -> bool {
-        self.extra.crashed(node, now) || self.engine.node_down(node, now.as_duration())
+        self.engine.node_down(node, now.as_duration())
     }
 }
 
@@ -269,7 +169,7 @@ mod tests {
                 Duration::from_millis(10),
                 Duration::from_millis(20),
             );
-        let mut adv = PlanAdversary::new(plan, CrashSchedule::new());
+        let mut adv = PlanAdversary::new(plan);
         assert_eq!(
             adv.intercept(NodeId(0), NodeId(1), 7u32, SimTime::ZERO),
             Fate::DeliverDelayed(7, Duration::from_millis(3))
@@ -290,15 +190,6 @@ mod tests {
             NodeId(2),
             SimTime::from_millis(25)
         ));
-        // The merged crash schedule still applies.
-        let mut adv = PlanAdversary::new(
-            FaultPlan::named("empty"),
-            CrashSchedule::new().crash(NodeId(1), SimTime::ZERO),
-        );
-        assert_eq!(
-            adv.intercept(NodeId(1), NodeId(0), 7u32, SimTime::ZERO),
-            Fate::Drop
-        );
     }
 
     #[test]
@@ -313,7 +204,8 @@ mod tests {
 
     #[test]
     fn crash_schedule_drops_after_crash_time() {
-        let mut a = CrashSchedule::new().crash(NodeId(2), SimTime::from_secs(5));
+        let plan = FaultPlan::named("crash").crash(NodeId(2), Duration::from_secs(5));
+        let mut a = PlanAdversary::new(plan);
         // Before the crash everything flows.
         assert_eq!(
             a.intercept(NodeId(2), NodeId(0), 1u32, SimTime::from_secs(4)),
@@ -341,17 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn crash_last_f_crashes_the_tail() {
-        let a = CrashSchedule::crash_last_f(10, 3, SimTime::from_secs(1));
-        let correct = a.correct_nodes(10);
-        assert_eq!(correct.len(), 7);
-        assert!(correct.contains(&NodeId(0)));
-        assert!(!correct.contains(&NodeId(9)));
-    }
-
-    #[test]
     fn late_join_gates_one_node_until_flipped() {
-        let inner = CrashSchedule::new().crash(NodeId(1), SimTime::from_secs(5));
+        let inner =
+            PlanAdversary::new(FaultPlan::named("crash").crash(NodeId(1), Duration::from_secs(5)));
         let mut a = LateJoinAdversary::new(Box::new(inner), NodeId(3));
         // Before the join: node 3 is off the network in both directions and
         // reports as crashed; everyone else delegates to the inner adversary.
@@ -380,25 +264,5 @@ mod tests {
             a.intercept(NodeId(1), NodeId(0), 1u32, SimTime::from_secs(6)),
             Fate::Drop
         );
-    }
-
-    #[test]
-    fn omission_drops_every_kth_message_from_lossy_nodes() {
-        let mut a = OmissionFaults::new(vec![NodeId(1)], 3);
-        let mut outcomes = Vec::new();
-        for i in 0..6 {
-            outcomes.push(matches!(
-                a.intercept(NodeId(1), NodeId(0), i, SimTime::ZERO),
-                Fate::Drop
-            ));
-        }
-        assert_eq!(outcomes, vec![false, false, true, false, false, true]);
-        // Non-lossy senders never lose messages.
-        for i in 0..10 {
-            assert!(matches!(
-                a.intercept(NodeId(0), NodeId(1), i, SimTime::ZERO),
-                Fate::Deliver(_)
-            ));
-        }
     }
 }

@@ -38,9 +38,6 @@ pub struct SimConfig {
     pub bandwidth_bytes_per_sec: Option<u64>,
     /// CPU cost model used to charge `CpuCharge` actions.
     pub cost: CostModel,
-    /// Whether CPU charges are applied at all (disable to isolate network
-    /// effects in ablations).
-    pub charge_cpu: bool,
     /// RNG seed; equal seeds give bit-identical executions.
     pub seed: u64,
 }
@@ -53,7 +50,6 @@ impl SimConfig {
             latency: LatencyModel::single_dc(),
             bandwidth_bytes_per_sec: Some(1_250_000_000), // 10 Gbps
             cost: CostModel::m5_xlarge(),
-            charge_cpu: true,
             seed: 1,
         }
     }
@@ -64,7 +60,6 @@ impl SimConfig {
             latency: LatencyModel::geo_distributed(),
             bandwidth_bytes_per_sec: Some(250_000_000), // ≈2 Gbps effective WAN egress
             cost: CostModel::m5_xlarge(),
-            charge_cpu: true,
             seed: 1,
         }
     }
@@ -76,7 +71,6 @@ impl SimConfig {
             latency: LatencyModel::Constant(Duration::from_millis(1)),
             bandwidth_bytes_per_sec: None,
             cost: CostModel::free(),
-            charge_cpu: false,
             seed: 1,
         }
     }
@@ -96,7 +90,6 @@ impl SimConfig {
     /// Builder-style cost-model override.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self.charge_cpu = true;
         self
     }
 
@@ -418,15 +411,13 @@ where
         for action in actions {
             match action {
                 Action::Cpu(charge) => {
-                    if self.config.charge_cpu {
-                        let work = self.config.cost.charge_time(
-                            charge.signs,
-                            charge.verifies,
-                            charge.hashed_bytes,
-                        );
-                        if !work.is_zero() {
-                            eff = self.schedule_cpu(node, eff, work);
-                        }
+                    let work = self.config.cost.charge_time(
+                        charge.signs,
+                        charge.verifies,
+                        charge.hashed_bytes,
+                    );
+                    if !work.is_zero() {
+                        eff = self.schedule_cpu(node, eff, work);
                     }
                     self.metrics
                         .record_cpu(node, charge.signs, charge.verifies, eff);
@@ -719,7 +710,6 @@ mod tests {
             latency: LatencyModel::Constant(Duration::from_millis(1)),
             bandwidth_bytes_per_sec: None,
             cost: CostModel::m5_xlarge(),
-            charge_cpu: true,
             seed: 1,
         };
         let mut sim = Simulation::new(cfg, nodes);
@@ -753,8 +743,9 @@ mod tests {
 
     #[test]
     fn crashed_nodes_neither_send_nor_receive() {
-        use crate::adversary::CrashSchedule;
-        let adv = CrashSchedule::new().crash(NodeId(0), SimTime::ZERO);
+        use crate::adversary::PlanAdversary;
+        use fireledger_types::FaultPlan;
+        let adv = PlanAdversary::new(FaultPlan::named("crash").crash(NodeId(0), Duration::ZERO));
         let mut sim =
             Simulation::with_adversary(SimConfig::ideal(), echo_cluster(4, 3), Box::new(adv));
         sim.run_for(Duration::from_millis(100));
@@ -779,7 +770,7 @@ mod tests {
             Duration::ZERO,
             Duration::from_millis(5),
         );
-        let adv = PlanAdversary::new(plan, crate::adversary::CrashSchedule::new());
+        let adv = PlanAdversary::new(plan);
         let mut sim =
             Simulation::with_adversary(SimConfig::ideal(), echo_cluster(4, 3), Box::new(adv));
         sim.run_for(Duration::from_millis(100));

@@ -30,9 +30,7 @@ pub mod metrics;
 pub mod time;
 pub mod workload;
 
-pub use adversary::{
-    Adversary, CrashSchedule, Fate, LateJoinAdversary, PassThrough, PlanAdversary,
-};
+pub use adversary::{Adversary, Fate, LateJoinAdversary, PassThrough, PlanAdversary};
 pub use engine::{SimConfig, Simulation};
 pub use latency::{GeoMatrix, LatencyModel, Region};
 pub use metrics::{BlockLifecycle, Metrics, RunSummary};

@@ -3,7 +3,7 @@
 //! The parameters mirror Table 2 of the paper: cluster size `n` (which fixes
 //! `f = ⌊(n-1)/3⌋`), number of FLO workers `ω`, transaction size `σ` and batch
 //! size `β`, plus the timing knobs of the optimistic path (base timeout, EMA
-//! window) and the flow-control limit on in-flight blocks (§7.2).
+//! window) and the benign failure detector's threshold (§6.1.1).
 
 use crate::ids::NodeId;
 use std::time::Duration;
@@ -96,9 +96,6 @@ pub struct ProtocolParams {
     /// Window length `N` of the exponential-moving-average timeout tuner
     /// (§6.1.1, "Dynamically Tuning the Timeout").
     pub ema_window: usize,
-    /// Flow control: maximal number of blocks a proposer may have disseminated
-    /// but not yet decided (§7.2).
-    pub max_inflight_blocks: usize,
     /// Whether to pad proposed blocks with filler transactions up to
     /// `batch_size` when the pool runs dry (the paper's evaluation "simulates
     /// an intensive load by filling every block to its maximal size", §7.2).
@@ -107,8 +104,6 @@ pub struct ProtocolParams {
     /// transactions carry deterministic executable ops instead of opaque
     /// zeroed payloads — see [`FillOps`].
     pub fill_ops: Option<FillOps>,
-    /// Whether the benign failure detector (§6.1.1) is enabled.
-    pub failure_detector: bool,
     /// Threshold (as a multiple of the base timeout) after which the failure
     /// detector starts suspecting a silent node.
     pub fd_suspect_threshold: u32,
@@ -126,10 +121,8 @@ impl ProtocolParams {
             base_timeout: Duration::from_millis(50),
             max_timeout: Duration::from_secs(5),
             ema_window: 16,
-            max_inflight_blocks: 8,
             fill_blocks: true,
             fill_ops: None,
-            failure_detector: true,
             fd_suspect_threshold: 8,
         }
     }

@@ -23,8 +23,7 @@
 //! ## Time base
 //!
 //! All offsets are [`Duration`]s from the start of the run — simulated time
-//! on the simulator, wall-clock time on the real-time runtimes, exactly like
-//! the offsets of scenario-level crash events.
+//! on the simulator, wall-clock time on the real-time runtimes.
 
 use crate::ids::NodeId;
 use crate::rng::DetRng;

@@ -33,11 +33,7 @@ fn main() {
 
     // 3b. The inspectable path: drive the same pieces by hand to look at the
     //     individual deliveries (the report only carries aggregates).
-    let mut sim = Simulation::with_adversary(
-        scenario.sim_config(),
-        cluster.build().unwrap(),
-        Box::new(scenario.crash_schedule(&cluster.crash_times())),
-    );
+    let mut sim = Simulation::new(scenario.sim_config(), cluster.build().unwrap());
     for (at, node, tx) in scenario.injection_schedule(4) {
         sim.inject_transaction_at(node, tx, at);
     }

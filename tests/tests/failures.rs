@@ -1,21 +1,24 @@
 //! Integration tests of the failure paths: crashes (benign), omissions and
-//! Byzantine equivocation with recovery, driven through `ClusterBuilder`
-//! roles and `Scenario` fault events. The key property checked throughout is
-//! BBFC-Agreement: correct nodes never diverge on blocks at depth > f + 1.
+//! Byzantine equivocation with recovery — crashes as `FaultPlan` entries,
+//! Byzantine behaviour as `ClusterBuilder` roles. The key property checked
+//! throughout is BBFC-Agreement: correct nodes never diverge on blocks at
+//! depth > f + 1.
 
 use fireledger_integration_tests::*;
 use fireledger_runtime::prelude::*;
-use fireledger_sim::{SimConfig, SimTime, Simulation};
+use fireledger_sim::{PlanAdversary, SimConfig, SimTime, Simulation};
 use std::time::Duration;
 
 #[test]
 fn progress_and_agreement_with_f_crashed_nodes() {
     for (n, f) in [(4usize, 1usize), (7, 2)] {
-        let cluster = ClusterBuilder::<FloCluster>::new(test_params(n, 1))
-            .with_seed(3)
-            .with_last_k(f, NodeRole::CrashAt(Duration::ZERO));
+        let cluster = ClusterBuilder::<FloCluster>::new(test_params(n, 1)).with_seed(3);
+        let plan = ((n - f)..n).fold(FaultPlan::named("crash"), |plan, i| {
+            plan.crash(NodeId(i as u32), Duration::ZERO)
+        });
         let scenario = Scenario::new("crash")
             .ideal()
+            .with_faults(plan)
             .run_for(Duration::from_secs(3));
         let report = Simulator.run(&cluster, &scenario).unwrap();
         assert!(
@@ -33,18 +36,18 @@ fn progress_and_agreement_with_f_crashed_nodes() {
 
 #[test]
 fn crash_mid_run_does_not_block_the_cluster() {
-    // The crash is a scenario fault event this time — same machinery, second
-    // entry point.
+    // The plan drives a raw `Simulation` this time — the same adversary the
+    // `Simulator` runtime compiles from it.
     let cluster = ClusterBuilder::<FloCluster>::new(test_params(4, 1)).with_seed(8);
+    let plan = FaultPlan::named("midcrash").crash(NodeId(2), Duration::from_millis(200));
     let scenario = Scenario::new("midcrash")
         .ideal()
-        .crash(NodeId(2), Duration::from_millis(200))
         .run_for(Duration::from_secs(3));
     let nodes = cluster.build().unwrap();
     let mut sim = Simulation::with_adversary(
         scenario.sim_config(),
         nodes,
-        Box::new(scenario.crash_schedule(&cluster.crash_times())),
+        Box::new(PlanAdversary::new(plan)),
     );
     sim.run_until(SimTime::ZERO + scenario.duration);
     let len_at_crash_estimate = 5; // it certainly decided a few blocks before 200 ms

@@ -280,15 +280,15 @@ fn fault_budget_is_enforced_across_builder_and_plan() {
         Tcp.run(&cluster, &scenario),
         Err(Error::FaultBudgetExceeded { .. })
     ));
-    // One plan fault plus one builder crash role on distinct nodes also
-    // busts the budget (the union counts).
+    // One plan fault plus one Byzantine role on distinct nodes also busts
+    // the budget (the union counts).
     let one = FaultPlan::named("one").crash_recover(NodeId(3), ms(100), ms(200));
     let scenario = Scenario::new("mixed")
         .ideal()
         .run_for(ms(300))
         .with_faults(one);
-    let cluster = ClusterBuilder::<FloCluster>::new(params())
-        .with_role(NodeId(0), NodeRole::CrashAt(Duration::ZERO));
+    let cluster =
+        ClusterBuilder::<FloCluster>::new(params()).with_role(NodeId(0), NodeRole::Equivocate);
     assert!(matches!(
         Simulator.run(&cluster, &scenario),
         Err(Error::FaultBudgetExceeded { faulty: 2, f: 1 })
